@@ -9,18 +9,26 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .spectral import DEFAULT_GROUPING_TOL, DEFAULT_MAX_DENOMINATOR, DEFAULT_RESIDUAL_TOL
+from .transfer import (
+    DEFAULT_FIDELITY_TOL,
+    DEFAULT_SCAN_GRID,
+    DEFAULT_SUPPORT_TOL,
+    DEFAULT_T_MAX,
+    DEFAULT_WEIGHT_TOL,
+)
+
 
 @dataclass
 class Config:
-    grouping_tol: float = 1e-8
-    support_tol: float = 1e-9
-    residual_tol: float = 1e-9
-    fidelity_tol: float = 1e-9
-    weight_tol: float = 1e-8
-    max_denominator: int = 10**6
-    t_max: float = 50.0
-    scan_grid: int = 10**4
-    zero_grid: int = 10**4
+    grouping_tol: float = DEFAULT_GROUPING_TOL
+    support_tol: float = DEFAULT_SUPPORT_TOL
+    residual_tol: float = DEFAULT_RESIDUAL_TOL
+    fidelity_tol: float = DEFAULT_FIDELITY_TOL
+    weight_tol: float = DEFAULT_WEIGHT_TOL
+    max_denominator: int = DEFAULT_MAX_DENOMINATOR
+    t_max: float = DEFAULT_T_MAX
+    scan_grid: int = DEFAULT_SCAN_GRID
     workers: int = None
 
     def __post_init__(self):

@@ -78,12 +78,37 @@ def support_graph(h: np.ndarray) -> Graph:
     return Graph(n, edges)
 
 
-def require_hermitian(h: np.ndarray, tol: float = 0.0):
+HERMITIAN_RTOL = 1e-10
+
+
+def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+    """h as a complex array, once it is known to be a square, finite and
+    Hermitian matrix.
+
+    Hermiticity is tested on the real and imaginary parts, against rtol
+    times their largest entry: a matrix built as D H D^dag carries a few ulps
+    of rounding, while eigh, reading only one triangle, would silently answer
+    for a different matrix than a genuinely non-Hermitian input.
+    """
     h = np.asarray(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("Hamiltonian must be square")
-    if not np.all(np.abs(h - h.conj().T) <= tol):
-        raise ValueError("Hamiltonian is not Hermitian")
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"Hamiltonian must be a square matrix, got shape {h.shape}")
+    if not np.iscomplexobj(h):
+        h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian has non-finite entries")
+    if h.size:
+        # the real part symmetric, the imaginary part antisymmetric
+        re = h.real
+        asym = np.abs(re - re.T).max()
+        scale = np.abs(re).max()
+        if np.iscomplexobj(h):
+            im = h.imag
+            asym = max(asym, np.abs(im + im.T).max())
+            scale = max(scale, np.abs(im).max())
+        if asym > rtol * scale:
+            raise ValueError(f"Hamiltonian is not Hermitian (largest asymmetry {asym:.3g})")
+    return np.asarray(h, dtype=complex)
 
 
 # -- the paper-style worked chains ------------------------------------------

@@ -9,16 +9,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .graphs import Graph, diameter, distance
-from .hamiltonians import is_real_hamiltonian, support_graph
-from .spectral import decompose, is_integral_spectrum
+from .hamiltonians import is_real_hamiltonian, require_hermitian, support_graph
+from .spectral import (
+    DEFAULT_GROUPING_TOL,
+    SpectralDecomposition,
+    decompose,
+    is_integral_spectrum,
+)
 from .transfer import (
+    DEFAULT_SUPPORT_TOL,
+    DEFAULT_WEIGHT_TOL,
     NonRealHamiltonian,
     NotPerfect,
     TransferVerdict,
-    check_transfer,
+    _decide,
+    _require_vertices,
+    minimize_scalar,
+    weight_test,
 )
 
 
@@ -41,18 +50,22 @@ class RateReport:
 
 
 def autocorrelation_zeros(h, a: int, t0: float, grid: int = 10**4,
-                          tol: float = 1e-8):
+                          tol: float = 1e-8, dec: SpectralDecomposition = None):
     """Times t in (0, t0) with <a|e^{-iHt}|a> = 0.
 
     The autocorrelation is complex, so zeros are located as local minima of
     |f| on a grid, refined by bounded minimization; both real and imaginary
-    parts must vanish (|f| <= tol) for a time to count.
+    parts must vanish (|f| <= tol) for a time to count.  A caller that has
+    decomposed H already passes dec, and h is then not read.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     if grid < 10**3:
         raise ValueError("grid must be at least 1000")
-    dec = decompose(np.asarray(h, dtype=complex))
+    if dec is None:
+        h = require_hermitian(h)
+        _require_vertices(h.shape[0], a)
+        dec = decompose(h)
     weights = np.array([np.linalg.norm(basis[a]) ** 2 for basis in dec.bases])
     lams = np.asarray(dec.eigenvalues)
 
@@ -76,16 +89,17 @@ def autocorrelation_zeros(h, a: int, t0: float, grid: int = 10**4,
 
 def rate_report(h, a: int, b: int, verdict: TransferVerdict = None) -> RateReport:
     """Rate-bound data for a Perfect instance (raises NotPerfect otherwise)."""
-    h = np.asarray(h, dtype=complex)
+    h = require_hermitian(h)
+    _require_vertices(h.shape[0], a, b)
+    dec = decompose(h)
     if verdict is None:
-        verdict = check_transfer(h, a, b)
+        verdict = _decide(dec, is_real_hamiltonian(h), weight_test(dec, a, [b]), 0)
     if not verdict.is_perfect:
         raise NotPerfect("rate report requires a Perfect verdict")
     g = support_graph(h)
     d = distance(g, a, b)
-    dec = decompose(h)
     m = dec.num_eigenspaces
-    zeros = autocorrelation_zeros(h, a, verdict.t0)
+    zeros = autocorrelation_zeros(h, a, verdict.t0, dec=dec)
     l = len(zeros)
     coupling_sum = float(np.sum(np.abs(np.delete(h[a], a))))
     ml = (l + 1) * math.pi / (4.0 * coupling_sum)
@@ -99,22 +113,29 @@ def routing_bound_check(D: int, J: int, M: int, N: int) -> bool:
     return D * J <= M - 1 and M <= N
 
 
-def routing_impossibility_scan(h, a: int, **check_kwargs) -> dict:
+def routing_impossibility_scan(h, a: int, *, grouping_tol: float = DEFAULT_GROUPING_TOL,
+                               support_tol: float = DEFAULT_SUPPORT_TOL,
+                               weight_tol: float = DEFAULT_WEIGHT_TOL,
+                               **check_kwargs) -> dict:
     """All targets with perfect transfer from a, as {target: t0}.
 
     For a real Hamiltonian at most one target can exist; a second one raises
-    RoutingViolation with the evidence in the message.
+    RoutingViolation with the evidence in the message.  The keyword
+    arguments are those of check_transfer; one decomposition and one weight
+    test serve every target.
     """
-    h = np.asarray(h, dtype=complex)
+    h = require_hermitian(h)
     if not is_real_hamiltonian(h):
         raise NonRealHamiltonian("routing scan is defined for real Hamiltonians")
+    n = h.shape[0]
+    _require_vertices(n, a)
+    dec = decompose(h, grouping_tol)
+    test = weight_test(dec, a, [c for c in range(n) if c != a], support_tol, weight_tol)
     found = {}
-    for c in range(h.shape[0]):
-        if c == a:
-            continue
-        verdict = check_transfer(h, a, c, **check_kwargs)
+    for j in test.passing():
+        verdict = _decide(dec, True, test, j, **check_kwargs)
         if verdict.is_perfect:
-            found[c] = verdict.t0
+            found[int(test.targets[j])] = verdict.t0
     if len(found) > 1:
         raise RoutingViolation(f"multiple perfect targets from {a}: {found}")
     return found

@@ -22,7 +22,7 @@ from .graphs import Graph, bipartite_coloring, distance, encode_graph6, parse_gr
 from .hamiltonians import adjacency_hamiltonian, laplacian_hamiltonian
 from .limits import autocorrelation_zeros
 from .spectral import decompose, is_integral_spectrum
-from .transfer import check_transfer
+from .transfer import _decide, weight_test
 
 log = logging.getLogger(__name__)
 
@@ -183,6 +183,8 @@ def _model_matrix(g: Graph, model: str) -> np.ndarray:
 
 
 def _analyze_graph(g: Graph, models) -> tuple:
+    """Records and undecided pairs of one graph: one decomposition per model,
+    and the gap/parity stage only for the pairs that pass the weight test."""
     records, undecided = [], []
     g6 = encode_graph6(g)
     bip = bipartite_coloring(g).valid
@@ -193,15 +195,17 @@ def _analyze_graph(g: Graph, models) -> tuple:
         integral, _ = is_integral_spectrum(hint)
         h = hint.astype(float)
         dec = decompose(h)
-        for a in range(g.n):
-            for b in range(a + 1, g.n):
-                verdict = check_transfer(h, a, b)
+        for a in range(g.n - 1):
+            test = weight_test(dec, a, range(a + 1, g.n))
+            for j in test.passing():
+                b = int(test.targets[j])
+                verdict = _decide(dec, True, test, j)
                 if verdict.status == "undecided":
                     undecided.append((g6, model, a, b, verdict.reason))
                     continue
                 if not verdict.is_perfect:
                     continue
-                zeros = autocorrelation_zeros(h, a, verdict.t0)
+                zeros = autocorrelation_zeros(h, a, verdict.t0, dec=dec)
                 records.append(SearchRecord(
                     graph6=g6,
                     n=g.n,
@@ -221,14 +225,25 @@ def _analyze_graph(g: Graph, models) -> tuple:
     return records, undecided
 
 
+def _census_graph(g: Graph, models) -> tuple:
+    """(records, undecided, failure) of one graph; failure is None, or
+    (graph6, message) when the analysis raised, so one bad graph does not
+    abort the census on either the serial or the parallel path."""
+    try:
+        return (*_analyze_graph(g, models), None)
+    except Exception as exc:  # noqa: BLE001 - stream must not abort
+        return [], [], (encode_graph6(g), str(exc))
+
+
 def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
-    """Run check_transfer over every (graph, model, vertex pair).
+    """Run the transfer decision over every (graph, model, vertex pair).
 
     Per-graph failures are logged and skipped; the record list is stably
     sorted by (graph6, model, source, target) so repeated runs are
     byte-identical when serialized.
     """
     graphs = list(graphs)
+    models = tuple(models)
     result = CensusResult([], [], [])
     if workers is None:
         import os
@@ -238,22 +253,15 @@ def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_analyze_graph, graphs,
-                                    itertools.repeat(tuple(models))))
-        for recs, und in outputs:
-            result.records.extend(recs)
-            result.undecided.extend(und)
+            outputs = list(pool.map(_census_graph, graphs, itertools.repeat(models)))
     else:
-        for g in graphs:
-            try:
-                recs, und = _analyze_graph(g, tuple(models))
-            except Exception as exc:  # noqa: BLE001 - stream must not abort
-                g6 = encode_graph6(g)
-                log.warning("census failed on %s: %s", g6, exc)
-                result.failures.append((g6, str(exc)))
-                continue
-            result.records.extend(recs)
-            result.undecided.extend(und)
+        outputs = (_census_graph(g, models) for g in graphs)
+    for recs, und, failure in outputs:
+        if failure is not None:
+            log.warning("census failed on %s: %s", *failure)
+            result.failures.append(failure)
+        result.records.extend(recs)
+        result.undecided.extend(und)
     result.records.sort(key=SearchRecord.sort_key)
     result.undecided.sort()
     return result

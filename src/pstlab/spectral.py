@@ -5,7 +5,8 @@ characteristic polynomials, integrality tests, and real-number gcd detection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -30,19 +31,42 @@ class SpectralDecomposition:
 
     eigenvalues[k] is the (mean) eigenvalue of eigenspace k, strictly
     increasing; bases[k] is an (n, dim_k) array whose columns span it.
+    vectors holds every basis side by side, bases[k] being its columns
+    starts[k] to starts[k] + dim_k; it is derived from bases when not given.
     """
 
     eigenvalues: tuple
     bases: tuple  # of (n, dim) complex arrays
     grouping_tol: float
+    vectors: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.vectors is None:
+            object.__setattr__(self, "vectors", np.hstack(self.bases))
 
     @property
     def n(self) -> int:
-        return self.bases[0].shape[0]
+        return self.vectors.shape[0]
 
     @property
     def num_eigenspaces(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The first column of each eigenspace in vectors."""
+        return np.cumsum([0, *(b.shape[1] for b in self.bases[:-1])])
+
+    @cached_property
+    def column_space(self) -> np.ndarray:
+        """The eigenspace of each column of vectors."""
+        return np.repeat(np.arange(self.num_eigenspaces),
+                         [b.shape[1] for b in self.bases])
+
+    @cached_property
+    def degenerate(self) -> bool:
+        """Whether some eigenspace has dimension two or more."""
+        return self.num_eigenspaces < self.n
 
     def projector(self, k: int) -> np.ndarray:
         b = self.bases[k]
@@ -75,17 +99,20 @@ def decompose(h: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spec
             f"eigh failed on {h.shape[0]}x{h.shape[0]} matrix "
             f"(max |entry| {np.abs(h).max():.3e}): {exc}"
         ) from exc
-    scale = max(1.0, float(np.abs(vals).max()) if len(vals) else 1.0)
+    lam = vals.tolist()
+    scale = max(1.0, abs(lam[0]), abs(lam[-1])) if lam else 1.0
     gap = grouping_tol * scale
-    groups = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][-1]] <= gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    eigenvalues = tuple(float(np.mean(vals[g])) for g in groups)
-    bases = tuple(np.ascontiguousarray(vecs[:, g]) for g in groups)
-    return SpectralDecomposition(eigenvalues, bases, grouping_tol)
+    # an eigenspace is a run of eigenvalues whose consecutive gaps are <= gap
+    bounds = [0, *(np.nonzero(~(vals[1:] - vals[:-1] <= gap))[0] + 1).tolist(), len(lam)]
+    # C order makes each basis row, basis[v], a contiguous vector
+    vecs = np.ascontiguousarray(vecs)
+    eigenvalues = tuple(
+        # np.mean's arithmetic (a sum, then one division) without its overhead
+        lam[s] if e - s == 1 else float(np.add.reduce(vals[s:e]) / (e - s))
+        for s, e in zip(bounds, bounds[1:])
+    )
+    bases = tuple(vecs[:, s:e] for s, e in zip(bounds, bounds[1:]))
+    return SpectralDecomposition(eigenvalues, bases, grouping_tol, vecs)
 
 
 def support_components(dec: SpectralDecomposition, v: int):
@@ -107,31 +134,25 @@ def support_components(dec: SpectralDecomposition, v: int):
 def integer_char_poly(h) -> list:
     """Coefficients [a_0, ..., a_n] of det(lambda*I - H), exact integers.
 
-    Faddeev-LeVerrier with arbitrary-precision Python integers; every
+    Faddeev-LeVerrier with arbitrary-precision Python integers, held in an
+    object array so that the matrix products run in numpy's loop; every
     division by the step index is exact.
     """
-    m = [[int(x) for x in row] for row in np.asarray(h)]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
+    n = h.shape[0]
+    m = np.array([[int(x) for x in row] for row in h], dtype=object).reshape(n, n)
+    diag = np.arange(n)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    mk = [[0] * n for _ in range(n)]  # M_0 = 0
+    mk = np.zeros((n, n), dtype=object)  # M_0 = 0
     c = 1
     for k in range(1, n + 1):
         # M_k = A (M_{k-1} + c_{n-k+1} I)
-        t = [row[:] for row in mk]
-        for i in range(n):
-            t[i][i] += c
-        mk = matmul(m, t)
-        tr = sum(mk[i][i] for i in range(n))
+        mk[diag, diag] += c
+        mk = m.dot(mk)
+        tr = int(sum(mk[diag, diag]))
         assert tr % k == 0
         c = -tr // k
         coeffs[n - k] = c

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .graphs import Graph, bipartite_coloring
-from .hamiltonians import is_real_hamiltonian, support_graph
+from .hamiltonians import is_real_hamiltonian, require_hermitian, support_graph
 from .spectral import (
     DEFAULT_GROUPING_TOL,
     DEFAULT_MAX_DENOMINATOR,
@@ -61,6 +60,22 @@ class NonRealHamiltonian(ValueError):
 
 class NonzeroDiagonal(ValueError):
     pass
+
+
+def minimize_scalar(*args, **kwargs):
+    """scipy.optimize.minimize_scalar, imported on the first call.
+
+    Only the numeric scan and the zero search refine, and importing
+    scipy.optimize costs more than most decisions.
+    """
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+    return scipy_minimize_scalar(*args, **kwargs)
+
+
+def _require_vertices(n: int, *vertices):
+    if not all(0 <= v < n for v in vertices):
+        raise IndexError("vertex out of range")
 
 
 @dataclass(frozen=True)
@@ -120,6 +135,69 @@ def fidelity_curve(dec: SpectralDecomposition, a: int, b: int, times: np.ndarray
     return np.exp(-1j * np.outer(times, lams)) @ c
 
 
+# -- the eigenspace weight test -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WeightTest:
+    """The eigenspace weight test from one source to several targets.
+
+    Row j is about targets[j], column k about eigenspace k.  The pair passes
+    when no eigenspace supports just one of the two vertices, and on every
+    eigenspace that supports both, P_k|b> = s_k P_k|a> with |s_k| = 1.
+    """
+
+    source: int
+    targets: np.ndarray  # (t,)
+    supported: np.ndarray  # (t, M) bool: both vertices have weight on P_k
+    ratios: np.ndarray  # (t, M) s_k = P_k[a,b] / P_k[a,a], where supported
+    failed: np.ndarray  # (t, M) bool: eigenspace k fails the test
+
+    def mismatch(self, j: int):
+        """The first eigenspace failing for targets[j], or None."""
+        bad = np.flatnonzero(self.failed[j])
+        return int(bad[0]) if len(bad) else None
+
+    def passing(self) -> np.ndarray:
+        """Row indices of the targets that pass, with two or more supported
+        eigenspaces (distinct basis states cannot share just one)."""
+        return np.flatnonzero(~self.failed.any(axis=1) & (self.supported.sum(axis=1) >= 2))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def weight_test(dec: SpectralDecomposition, a: int, targets,
+                support_tol: float = DEFAULT_SUPPORT_TOL,
+                weight_tol: float = DEFAULT_WEIGHT_TOL) -> WeightTest:
+    """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for every target b at once.
+
+    Works from row a of the projectors, P_k[a,b] = sum over the columns m of
+    eigenspace k of V[a,m] conj(V[b,m]), and their diagonals P_k[b,b]:
+    s_k = P_k[a,b] / P_k[a,a].  On an eigenspace of dimension two or more,
+    |s_k| = 1 leaves P_k[b,b] > P_k[a,a] possible, so there the residual
+    |P_k|b> - s_k P_k|a>| is also bounded; it is taken from the eigenbasis
+    coordinates, since P_k[b,b] - |P_k[a,b]|^2 / P_k[a,a] would keep only
+    half the digits.  Every array is (targets x n) at most.
+    """
+    targets = np.asarray(targets, dtype=np.intp)
+    starts = dec.starts
+    va = dec.vectors[a]
+    vb = dec.vectors[targets]
+    sq_a = np.add.reduceat(_abs2(va), starts)
+    sup_a = sq_a > support_tol * support_tol
+    sup_b = np.add.reduceat(_abs2(vb), starts, axis=1) > support_tol * support_tol
+    s = np.add.reduceat(vb.conj() * va, starts, axis=1) / np.where(sup_a, sq_a, 1.0)
+    both = sup_a & sup_b
+    off = np.abs(np.abs(s) - 1.0) > weight_tol
+    if dec.degenerate:
+        residual_sq = np.add.reduceat(_abs2(vb - s.conj()[:, dec.column_space] * va),
+                                      starts, axis=1)
+        off |= residual_sq > weight_tol * weight_tol
+    return WeightTest(a, targets, both, s, (sup_a != sup_b) | (both & off))
+
+
 # -- the decision procedure ----------------------------------------------------
 
 
@@ -139,44 +217,40 @@ def check_transfer(
     """Decide perfect state transfer from vertex a to vertex b under H."""
     if a == b:
         raise VertexCoincide("source and target must differ")
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    if not (0 <= a < n and 0 <= b < n):
-        raise IndexError("vertex out of range")
-    real = is_real_hamiltonian(h)
+    h = require_hermitian(h)
+    _require_vertices(h.shape[0], a, b)
     dec = decompose(h, grouping_tol)
+    return _decide(
+        dec, is_real_hamiltonian(h), weight_test(dec, a, [b], support_tol, weight_tol), 0,
+        fidelity_tol=fidelity_tol, max_denominator=max_denominator,
+        residual_tol=residual_tol, t_max=t_max, scan_grid=scan_grid,
+    )
 
-    ea = np.zeros(n, dtype=complex)
-    ea[a] = 1.0
-    eb = np.zeros(n, dtype=complex)
-    eb[b] = 1.0
 
-    supported = []
-    phases = []
-    for k in range(dec.num_eigenspaces):
-        v = dec.project(k, ea)
-        w = dec.project(k, eb)
-        nv = np.linalg.norm(v)
-        nw = np.linalg.norm(w)
-        if nv <= support_tol and nw <= support_tol:
-            continue
-        if nv <= support_tol or nw <= support_tol:
-            return TransferVerdict(
-                NO_TRANSFER,
-                reason=f"weight mismatch at eigenvalue {dec.eigenvalues[k]:.6g}",
-            )
-        s = np.vdot(v, w) / (nv * nv)
-        if abs(abs(s) - 1.0) > weight_tol or np.linalg.norm(w - s * v) > weight_tol:
-            return TransferVerdict(
-                NO_TRANSFER,
-                reason=f"weight mismatch at eigenvalue {dec.eigenvalues[k]:.6g}",
-            )
-        supported.append(k)
-        phases.append(float(np.angle(s)))
-
+def _decide(
+    dec: SpectralDecomposition,
+    real: bool,
+    test: WeightTest,
+    j: int,
+    fidelity_tol: float = DEFAULT_FIDELITY_TOL,
+    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    t_max: float = DEFAULT_T_MAX,
+    scan_grid: int = DEFAULT_SCAN_GRID,
+) -> TransferVerdict:
+    """The verdict for test.source -> test.targets[j] on one decomposition."""
+    a, b = test.source, int(test.targets[j])
+    k = test.mismatch(j)
+    if k is not None:
+        return TransferVerdict(
+            NO_TRANSFER,
+            reason=f"weight mismatch at eigenvalue {dec.eigenvalues[k]:.6g}",
+        )
+    supported = np.flatnonzero(test.supported[j]).tolist()
     if len(supported) < 2:
         # distinct basis states cannot live in a single eigenspace proportionally
         return TransferVerdict(NO_TRANSFER, reason="weight mismatch (single eigenspace)")
+    phases = np.angle(test.ratios[j, supported]).tolist()
 
     if real:
         verdict = _real_phase_existence(
@@ -184,28 +258,20 @@ def check_transfer(
         )
     else:
         verdict = _numeric_phase_search(dec, a, b, t_max, scan_grid, fidelity_tol)
-        verdict = dataclass_replace(verdict, eigenphases=tuple(phases), supported=tuple(supported))
+        verdict = replace(verdict, eigenphases=tuple(phases), supported=tuple(supported))
     if verdict.status != PERFECT:
         return verdict
 
     # confirm by direct evolution, independent of the symbolic path
-    amp, mag = fidelity(h, a, b, verdict.t0, dec)
+    amp, mag = fidelity(None, a, b, verdict.t0, dec)
     if mag < 1.0 - fidelity_tol:
-        return dataclass_replace(
+        return replace(
             verdict,
             status=UNDECIDED,
             reason=f"direct evolution gives fidelity {mag:.12f} at the candidate time",
             fidelity_at_t0=mag,
         )
-    return dataclass_replace(
-        verdict, transfer_phase=amp / mag, fidelity_at_t0=mag
-    )
-
-
-def dataclass_replace(v: TransferVerdict, **kw) -> TransferVerdict:
-    from dataclasses import replace
-
-    return replace(v, **kw)
+    return replace(verdict, transfer_phase=amp / mag, fidelity_at_t0=mag)
 
 
 def _real_phase_existence(dec, supported, phases, max_denominator, residual_tol):
@@ -315,36 +381,22 @@ def symmetry_operator(dec: SpectralDecomposition, a: int, b: int, phases=None,
     """S = sum_supported e^{i phi_k} P_k + sum_unsupported P_k.
 
     Satisfies S H S^dag = H and S|a> = |b>; the free phases on unsupported
-    eigenspaces are fixed to 1.  phases may be supplied (one per supported
-    eigenspace, in spectrum order); otherwise they are recomputed, raising
-    PhaseUndefined if the weight/proportionality test fails.
+    eigenspaces are fixed to 1.  Raises PhaseUndefined when the pair fails
+    the weight test, since no such S exists then.  phases may be supplied
+    (one per supported eigenspace, in spectrum order); otherwise they are
+    the ones the weight test finds.
     """
-    n = dec.n
-    ea = np.zeros(n, dtype=complex)
-    ea[a] = 1.0
-    eb = np.zeros(n, dtype=complex)
-    eb[b] = 1.0
-    s = np.zeros((n, n), dtype=complex)
-    idx = 0
-    for k in range(dec.num_eigenspaces):
-        v = dec.project(k, ea)
-        w = dec.project(k, eb)
-        nv = np.linalg.norm(v)
-        if nv <= support_tol:
-            s += dec.projector(k)
-            continue
-        if phases is not None:
-            phi = phases[idx]
-            idx += 1
-        else:
-            scal = np.vdot(v, w) / (nv * nv)
-            if abs(abs(scal) - 1.0) > weight_tol or np.linalg.norm(w - scal * v) > weight_tol:
-                raise PhaseUndefined(
-                    f"projections not proportional at eigenvalue {dec.eigenvalues[k]:.6g}"
-                )
-            phi = float(np.angle(scal))
-        s += cmath.exp(1j * phi) * dec.projector(k)
-    return s
+    test = weight_test(dec, a, [b], support_tol, weight_tol)
+    k = test.mismatch(0)
+    if k is not None:
+        raise PhaseUndefined(
+            f"projections not proportional at eigenvalue {dec.eigenvalues[k]:.6g}"
+        )
+    supported = test.supported[0]
+    space_phases = np.zeros(dec.num_eigenspaces)
+    space_phases[supported] = np.angle(test.ratios[0, supported]) if phases is None else phases
+    vecs = dec.vectors
+    return (vecs * np.exp(1j * space_phases[dec.column_space])) @ vecs.conj().T
 
 
 # -- bipartite amplitude classification ------------------------------------------

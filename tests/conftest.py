@@ -33,3 +33,17 @@ def small_connected_graphs():
     from pstlab import enumerate_connected_graphs
 
     return {n: list(enumerate_connected_graphs(n)) for n in range(1, 7)}
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A one-element list counting the numpy.linalg.eigh calls of the test."""
+    calls = [0]
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls

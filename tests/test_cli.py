@@ -1,10 +1,12 @@
 import csv
+import dataclasses
+import inspect
 import json
 import math
 
 import pytest
 
-from pstlab import encode_graph6, path_graph
+from pstlab import Config, check_transfer, encode_graph6, path_graph
 from pstlab.cli import (
     EXIT_NO_TRANSFER,
     EXIT_PARSE,
@@ -261,3 +263,12 @@ class TestConfigPlumbing:
         code = main(["--grouping-tol", "1e-8",
                      "check", p3_file, "--source", "0", "--target", "2"])
         assert code == EXIT_PERFECT
+
+    def test_defaults_are_check_transfer_defaults(self):
+        kwargs = Config().check_kwargs()
+        params = inspect.signature(check_transfer).parameters
+        assert kwargs == {name: params[name].default for name in kwargs}
+
+    def test_unused_zero_grid_is_gone(self):
+        assert "zero_grid" not in {f.name for f in dataclasses.fields(Config)}
+        assert Config.from_env({"PSTLAB_T_MAX": "7"}).t_max == 7.0

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pstlab import (
@@ -11,6 +12,7 @@ from pstlab import (
     complement_pst_condition,
     complete_graph,
     cycle_graph,
+    decompose,
     hypercube_graph,
     laplacian_diameter_bounds,
     path_graph,
@@ -32,6 +34,7 @@ C4 = cycle_graph(4)
 A_K2 = adjacency_hamiltonian(K2).astype(float)
 A_P3 = adjacency_hamiltonian(P3).astype(float)
 STD5 = chain_hamiltonian(standard_pst_chain_couplings(5))
+NON_HERMITIAN = np.array([[0, 1, 0], [5, 0, 1], [0, 1, 0]], dtype=float)
 
 
 class TestAutocorrelationZeros:
@@ -54,6 +57,22 @@ class TestAutocorrelationZeros:
             autocorrelation_zeros(A_K2, 0, 1.0, grid=10)
 
 
+class TestAutocorrelationValidation:
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            autocorrelation_zeros(NON_HERMITIAN, 0, 1.0)
+
+    def test_rejects_vertex_out_of_range(self):
+        with pytest.raises(IndexError):
+            autocorrelation_zeros(A_K2, 2, 1.0)
+
+    def test_shared_decomposition(self, eigh_calls):
+        dec = decompose(STD5)
+        assert autocorrelation_zeros(None, 1, math.pi / 2, dec=dec) == (
+            autocorrelation_zeros(STD5, 1, math.pi / 2))
+        assert eigh_calls == [2]
+
+
 class TestRateReport:
     def test_standard_5chain(self):
         r = rate_report(STD5, 1, 3)
@@ -73,6 +92,14 @@ class TestRateReport:
     def test_requires_perfect(self):
         with pytest.raises(NotPerfect):
             rate_report(adjacency_hamiltonian(K3).astype(float), 0, 1)
+
+    def test_one_eigendecomposition(self, eigh_calls):
+        assert rate_report(STD5, 1, 3).l == 1
+        assert eigh_calls == [1]
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            rate_report(NON_HERMITIAN, 0, 2)
 
 
 class TestRoutingBound:
@@ -112,6 +139,27 @@ class TestRoutingScan:
         h = weighted_hamiltonian(K2, {(0, 1): 1j})
         with pytest.raises(NonRealHamiltonian):
             routing_impossibility_scan(h, 0)
+
+    def test_one_eigendecomposition(self, eigh_calls):
+        h = adjacency_hamiltonian(hypercube_graph(3)).astype(float)
+        assert set(routing_impossibility_scan(h, 0)) == {7}
+        assert eigh_calls == [1]
+
+    def test_agrees_with_check_transfer(self):
+        for h in (STD5, adjacency_hamiltonian(C4).astype(float),
+                  adjacency_hamiltonian(hypercube_graph(3)).astype(float)):
+            for a in range(h.shape[0]):
+                expected = {}
+                for b in range(h.shape[0]):
+                    if b != a:
+                        v = check_transfer(h, a, b)
+                        if v.is_perfect:
+                            expected[b] = v.t0
+                assert routing_impossibility_scan(h, a) == expected
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            routing_impossibility_scan(NON_HERMITIAN, 0)
 
 
 class TestDiameterBounds:

@@ -15,12 +15,20 @@ from pstlab import (
     cycle_graph,
     encode_graph6,
     enumerate_connected_graphs,
+    parse_graph6,
     path_graph,
     read_graph6_stream,
     read_records,
     write_records,
     write_records_csv,
 )
+
+class RaisingGraph(Graph):
+    """A graph whose census analysis raises (module level, so it pickles)."""
+
+    def is_regular(self):
+        raise RuntimeError("analysis failed on purpose")
+
 
 # number of connected graphs on n unlabeled vertices, n = 1..7
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -136,6 +144,23 @@ class TestCensus:
         parallel = census(graphs, workers=2)
         assert serial.records == parallel.records
         assert serial.undecided == parallel.undecided
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_graph_is_logged_not_fatal(self, workers, caplog):
+        good = list(enumerate_connected_graphs(5))
+        bad = RaisingGraph(4, cycle_graph(4).edges)
+        # more than eight graphs, so workers=2 takes the process-pool path
+        result = census(good[:10] + [bad] + good[10:], workers=workers)
+        assert result.failures == [(encode_graph6(bad), "analysis failed on purpose")]
+        assert result.records == census(good, workers=1).records
+        assert encode_graph6(bad) in caplog.text
+
+    def test_one_eigendecomposition_per_model(self, eigh_calls):
+        # K_{2,5}: its two-vertex side is the one perfect pair at n = 7
+        result = census([parse_graph6("F?B~o")], workers=1)
+        assert [(r.model, r.source, r.target) for r in result.records] == [
+            ("adjacency", 5, 6)]
+        assert eigh_calls == [2]
 
     def test_rate_bound_holds_everywhere(self):
         graphs = list(enumerate_connected_graphs(5))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pstlab import (
     DegenerateInput,
     adjacency_hamiltonian,
+    cartesian_product,
     complete_graph,
     decompose,
     integer_char_poly,
@@ -37,6 +38,16 @@ class TestDecompose:
         dec = decompose(adjacency_hamiltonian(K3).astype(float))
         assert dec.eigenvalues == pytest.approx((-1.0, 2.0), abs=1e-12)
         assert [b.shape[1] for b in dec.bases] == [2, 1]
+
+    def test_bases_are_column_slices_of_vectors(self):
+        dec = decompose(adjacency_hamiltonian(complete_graph(4)).astype(float))
+        assert list(dec.starts) == [0, 3]
+        assert list(dec.column_space) == [0, 0, 0, 1]
+        assert dec.degenerate
+        for k, b in enumerate(dec.bases):
+            s = dec.starts[k]
+            assert np.array_equal(b, dec.vectors[:, s:s + b.shape[1]])
+            assert b[0].flags.c_contiguous
 
     def test_zero_matrix(self):
         dec = decompose(np.zeros((3, 3)))
@@ -88,7 +99,29 @@ class TestSupportComponents:
             support_components(dec, 2)
 
 
+def reference_char_poly(h):
+    """Faddeev-LeVerrier over nested lists of Python ints."""
+    m = [[int(x) for x in row] for row in np.asarray(h)]
+    n = len(m)
+    coeffs, mk, c = [0] * n + [1], [[0] * n for _ in range(n)], 1
+    for k in range(1, n + 1):
+        t = [[mk[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+        mk = [[sum(m[i][l] * t[l][j] for l in range(n)) for j in range(n)]
+              for i in range(n)]
+        c = -sum(mk[i][i] for i in range(n)) // k
+        coeffs[n - k] = c
+    return coeffs
+
+
 class TestCharPoly:
+    def test_matches_reference(self, small_connected_graphs):
+        mats = [100 * adjacency_hamiltonian(complete_graph(9)),
+                laplacian_hamiltonian(cartesian_product(path_graph(3), path_graph(4)))]
+        for g in small_connected_graphs[6][::7]:
+            mats += [adjacency_hamiltonian(g), laplacian_hamiltonian(g)]
+        for mat in mats:
+            assert integer_char_poly(mat) == reference_char_poly(mat)
+
     def test_k3(self):
         assert integer_char_poly(adjacency_hamiltonian(K3)) == [-2, -3, 0, 1]
 
@@ -97,6 +130,17 @@ class TestCharPoly:
 
     def test_laplacian_k2(self):
         assert integer_char_poly(laplacian_hamiltonian(K2)) == [0, -2, 1]
+
+    def test_coefficients_beyond_int64(self):
+        # 100 A(K20) has eigenvalues 1900 and -100 (19 times)
+        expected = [1]  # ascending coefficients of (x + 100)^19 (x - 1900)
+        for root in [-100] * 19 + [1900]:
+            shifted = [0, *expected]
+            expected = [hi - root * lo for hi, lo in zip(shifted, [*expected, 0])]
+        coeffs = integer_char_poly(100 * adjacency_hamiltonian(complete_graph(20)))
+        assert coeffs == expected
+        assert max(abs(c) for c in coeffs) > 2**63
+        assert all(type(c) is int for c in coeffs)
 
     def test_evaluates_to_zero_at_eigenvalues(self, small_connected_graphs):
         for n in range(2, 7):

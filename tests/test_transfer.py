@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,13 @@ from pstlab import (
     symmetry_operator,
     weighted_hamiltonian,
 )
-from pstlab.transfer import NonzeroDiagonal, NotBipartite, NonRealHamiltonian
+from pstlab.transfer import (
+    NonRealHamiltonian,
+    NonzeroDiagonal,
+    NotBipartite,
+    PhaseUndefined,
+    weight_test,
+)
 
 from conftest import scan_max_fidelity
 
@@ -291,3 +301,107 @@ class TestOracleEquivalenceSmallGraphs:
                                 f"disagreement on n={n} {sorted(g.edges)} "
                                 f"pair ({a},{b}): {v.status} vs scan {mag}"
                             )
+
+
+NON_HERMITIAN = np.array([[0, 1, 0], [5, 0, 1], [0, 1, 0]], dtype=float)
+
+
+def gauged_pst_chain(n, seed):
+    """D H D^dag for the PST chain, D a diagonal of seeded phases."""
+    d = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * math.pi, n))
+    h = chain_hamiltonian([math.sqrt(k * (n - k)) for k in range(1, n)])
+    return d[:, None] * h * d.conj()[None, :]
+
+
+class TestValidation:
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_transfer(NON_HERMITIAN, 0, 2)
+
+    @pytest.mark.parametrize("h", [
+        np.ones((2, 3)),
+        np.array([[0.0, np.inf], [np.inf, 0.0]]),
+        np.array([[0.0, 1j], [1j, 0.0]]),
+    ])
+    def test_malformed_rejected(self, h):
+        with pytest.raises(ValueError):
+            check_transfer(h, 0, 1)
+
+    @pytest.mark.parametrize("n,seed", [(4, 1), (8, 2), (16, 3)])
+    def test_gauged_chain_still_perfect(self, n, seed):
+        h = gauged_pst_chain(n, seed)
+        assert np.abs(h - h.conj().T).max() > 0  # rounding breaks exact symmetry
+        v = check_transfer(h, 0, n - 1)
+        assert v.is_perfect
+        assert v.t0 == pytest.approx(math.pi / 2, abs=1e-4)
+
+
+def reference_weight_test(dec, a, b, support_tol=1e-9, weight_tol=1e-8):
+    """The per-eigenspace loop the vectorized weight test replaced:
+    (first failing eigenspace or None, supported eigenspaces, phases)."""
+    ea, eb = basis_state(dec.n, a), basis_state(dec.n, b)
+    supported, phases = [], []
+    for k in range(dec.num_eigenspaces):
+        v, w = dec.project(k, ea), dec.project(k, eb)
+        nv, nw = np.linalg.norm(v), np.linalg.norm(w)
+        if nv <= support_tol and nw <= support_tol:
+            continue
+        if nv <= support_tol or nw <= support_tol:
+            return k, supported, phases
+        s = np.vdot(v, w) / (nv * nv)
+        if abs(abs(s) - 1.0) > weight_tol or np.linalg.norm(w - s * v) > weight_tol:
+            return k, supported, phases
+        supported.append(k)
+        phases.append(float(np.angle(s)))
+    return None, supported, phases
+
+
+class TestWeightTest:
+    def _hamiltonians(self, small_connected_graphs):
+        for g in small_connected_graphs[5]:
+            yield adjacency_hamiltonian(g).astype(float)
+            yield laplacian_hamiltonian(g).astype(float)
+        yield chain_hamiltonian(asymmetric_5chain_couplings(1.2))
+        yield gauged_pst_chain(6, 4)
+        yield adjacency_hamiltonian(cartesian_product(P3, P3)).astype(float)
+
+    def test_matches_reference_loop(self, small_connected_graphs):
+        for h in self._hamiltonians(small_connected_graphs):
+            dec = decompose(h)
+            for a in range(dec.n):
+                targets = [b for b in range(dec.n) if b != a]
+                test = weight_test(dec, a, targets)
+                for j, b in enumerate(targets):
+                    k, supported, phases = reference_weight_test(dec, a, b)
+                    assert test.mismatch(j) == k
+                    if k is None:
+                        assert list(np.flatnonzero(test.supported[j])) == supported
+                        unit = test.ratios[j, supported] / np.abs(test.ratios[j, supported])
+                        assert unit == pytest.approx(np.exp(1j * np.array(phases)), abs=1e-12)
+                        assert (j in test.passing()) == (len(supported) >= 2)
+
+    def test_first_mismatch_names_the_eigenvalue(self):
+        # K3, eigenvalue -1: P[0,0] = P[1,1] = 2/3 but |P[0,1]| = 1/3
+        test = weight_test(decompose(A_K3), 0, [1, 2])
+        assert list(test.passing()) == []
+        assert test.mismatch(0) == test.mismatch(1) == 0
+        assert check_transfer(A_K3, 0, 1).reason == "weight mismatch at eigenvalue -1"
+
+    def test_symmetry_operator_rejects_failing_pair(self):
+        h = adjacency_hamiltonian(P4).astype(float)
+        with pytest.raises(PhaseUndefined):
+            symmetry_operator(decompose(h), 0, 1)
+
+
+def test_check_transfer_calls_eigh_once(eigh_calls):
+    assert check_transfer(A_P3, 0, 2).is_perfect
+    assert eigh_calls == [1]
+
+
+def test_import_does_not_load_scipy():
+    # scipy.optimize is imported by the first refinement, not by the package
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run(
+        [sys.executable, "-c", "import pstlab, sys; assert 'scipy' not in sys.modules"],
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
