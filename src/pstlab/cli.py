@@ -31,7 +31,7 @@ from .search import (
     write_records_csv,
 )
 from .spectral import decompose, integer_char_poly, is_integral_spectrum
-from .transfer import check_transfer, fidelity_curve
+from .transfer import NotPerfect, check_transfer, fidelity_curve
 
 EXIT_PERFECT = 0
 EXIT_NO_TRANSFER = 1
@@ -240,17 +240,17 @@ def cmd_bounds(args, cfg: Config) -> int:
     if args.source is not None and args.target is not None:
         h = (laplacian_hamiltonian(g) if args.model == "laplacian"
              else adjacency_hamiltonian(g)).astype(float)
-        verdict = check_transfer(h, args.source, args.target, **cfg.check_kwargs())
-        if verdict.is_perfect:
-            rr = rate_report(h, args.source, args.target, verdict)
+        try:
+            rr = rate_report(h, args.source, args.target, **cfg.check_kwargs())
+        except NotPerfect as exc:
+            payload["rate"] = {"status": exc.verdict.status, "reason": exc.verdict.reason}
+        else:
             payload["rate"] = {
                 "D": rr.D, "M": rr.M, "l": rr.l,
                 "zero_times": list(rr.zero_times),
                 "bound_satisfied": rr.bound_satisfied,
                 "ml_lower_bound": rr.ml_lower_bound,
             }
-        else:
-            payload["rate"] = {"status": verdict.status, "reason": verdict.reason}
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:

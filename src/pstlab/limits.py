@@ -23,10 +23,11 @@ from .transfer import (
     DEFAULT_WEIGHT_TOL,
     NonRealHamiltonian,
     NotPerfect,
-    TransferVerdict,
+    _check,
     _decide,
+    _pair_amplitude_coeffs,
     _require_vertices,
-    minimize_scalar,
+    refine_extrema,
     weight_test,
 )
 
@@ -53,10 +54,13 @@ def autocorrelation_zeros(h, a: int, t0: float, grid: int = 10**4,
                           tol: float = 1e-8, dec: SpectralDecomposition = None):
     """Times t in (0, t0) with <a|e^{-iHt}|a> = 0.
 
-    The autocorrelation is complex, so zeros are located as local minima of
-    |f| on a grid, refined by bounded minimization; both real and imaginary
-    parts must vanish (|f| <= tol) for a time to count.  A caller that has
-    decomposed H already passes dec, and h is then not read.
+    The autocorrelation f is complex, so zeros are located as local minima of
+    |f| on a grid, all refined in one refine_extrema call; both real and
+    imaginary parts must vanish (|f| <= tol) for a time to count.  A grid
+    minimum is a candidate only where both grid neighbours lie above the
+    rounding level of f, since where |f| is at that level (near a zero of
+    high order, as cos^(N-1) t has at t0 = pi/2) its minima are noise.  A
+    caller that has decomposed H already passes dec, and h is then not read.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
@@ -66,36 +70,37 @@ def autocorrelation_zeros(h, a: int, t0: float, grid: int = 10**4,
         h = require_hermitian(h)
         _require_vertices(h.shape[0], a)
         dec = decompose(h)
-    weights = np.array([np.linalg.norm(basis[a]) ** 2 for basis in dec.bases])
+    weights = _pair_amplitude_coeffs(dec, a, a).real
     lams = np.asarray(dec.eigenvalues)
-
-    def absf(t):
-        return abs(np.exp(-1j * lams * t) @ weights)
-
     times = np.linspace(0.0, t0, grid + 1)
-    vals = np.abs(np.exp(-1j * np.outer(times, lams)) @ weights)
-    zeros = []
+    # the weights are real, so |f| = |cos(X) w - i sin(X) w|
+    x = np.outer(times, lams)
+    vals = np.hypot(np.cos(x) @ weights, np.sin(x) @ weights)
     coarse = max(tol, 4.0 * float(np.abs(lams).max()) * (t0 / grid))
-    for i in range(1, grid):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1] and vals[i] < coarse:
-            opt = minimize_scalar(absf, bounds=(times[i - 1], times[i + 1]),
-                                  method="bounded", options={"xatol": 1e-14})
-            t = float(opt.x)
-            if float(opt.fun) <= tol and 0.0 < t < t0:
-                if not zeros or t - zeros[-1] > 2 * t0 / grid:
-                    zeros.append(t)
+    noise = 64 * len(lams) * np.finfo(float).eps * float(np.abs(weights).sum())
+    left, mid, right = vals[:-2], vals[1:-1], vals[2:]
+    minima = 1 + np.flatnonzero((mid <= left) & (mid <= right) & (mid < coarse)
+                                & (left > noise) & (right > noise))
+    refined, mags = refine_extrema(lams, weights, times[minima - 1], times[minima + 1],
+                                   times[minima])
+    zeros = []
+    for t, mag in zip(refined.tolist(), mags.tolist()):
+        if mag <= tol and 0.0 < t < t0:
+            if not zeros or t - zeros[-1] > 2 * t0 / grid:
+                zeros.append(t)
     return zeros
 
 
-def rate_report(h, a: int, b: int, verdict: TransferVerdict = None) -> RateReport:
-    """Rate-bound data for a Perfect instance (raises NotPerfect otherwise)."""
-    h = require_hermitian(h)
-    _require_vertices(h.shape[0], a, b)
-    dec = decompose(h)
-    if verdict is None:
-        verdict = _decide(dec, is_real_hamiltonian(h), weight_test(dec, a, [b]), 0)
+def rate_report(h, a: int, b: int, **check_kwargs) -> RateReport:
+    """Rate-bound data for a Perfect instance.
+
+    The keyword arguments are those of check_transfer, and one decomposition
+    serves the decision and the report.  Raises NotPerfect, carrying the
+    verdict, when transfer from a to b is not decided perfect.
+    """
+    h, dec, verdict = _check(h, a, b, **check_kwargs)
     if not verdict.is_perfect:
-        raise NotPerfect("rate report requires a Perfect verdict")
+        raise NotPerfect("rate report requires a Perfect verdict", verdict)
     g = support_graph(h)
     d = distance(g, a, b)
     m = dec.num_eigenspaces

@@ -43,7 +43,11 @@ class VertexCoincide(ValueError):
 
 
 class NotPerfect(ValueError):
-    pass
+    """A Perfect verdict was required; verdict is the one that was not."""
+
+    def __init__(self, message: str, verdict: "TransferVerdict" = None):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 class PhaseUndefined(ValueError):
@@ -60,17 +64,6 @@ class NonRealHamiltonian(ValueError):
 
 class NonzeroDiagonal(ValueError):
     pass
-
-
-def minimize_scalar(*args, **kwargs):
-    """scipy.optimize.minimize_scalar, imported on the first call.
-
-    Only the numeric scan and the zero search refine, and importing
-    scipy.optimize costs more than most decisions.
-    """
-    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
-
-    return scipy_minimize_scalar(*args, **kwargs)
 
 
 def _require_vertices(n: int, *vertices):
@@ -121,11 +114,14 @@ def fidelity(h: np.ndarray, a: int, b: int, t: float, dec: SpectralDecomposition
     return amp, abs(amp)
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
 def _pair_amplitude_coeffs(dec: SpectralDecomposition, a: int, b: int) -> np.ndarray:
-    """c_k with <b|e^{-iHt}|a> = sum_k c_k e^{-i lambda_k t}."""
-    return np.array(
-        [np.vdot(basis[a], basis[b]) for basis in dec.bases]
-    )
+    """c_k = P_k[b,a], so that <b|e^{-iHt}|a> = sum_k c_k e^{-i lambda_k t}."""
+    v = dec.vectors
+    return np.add.reduceat(v[a].conj() * v[b], dec.starts)
 
 
 def fidelity_curve(dec: SpectralDecomposition, a: int, b: int, times: np.ndarray) -> np.ndarray:
@@ -133,6 +129,51 @@ def fidelity_curve(dec: SpectralDecomposition, a: int, b: int, times: np.ndarray
     c = _pair_amplitude_coeffs(dec, a, b)
     lams = np.asarray(dec.eigenvalues)
     return np.exp(-1j * np.outer(times, lams)) @ c
+
+
+REFINE_MAX_STEPS = 100  # bisection alone narrows a bracket 2^100-fold
+
+
+def refine_extrema(lams, coeffs, lo, hi, t, maximize=False):
+    """Local minima (or maxima) of |f(t)|, f(t) = sum_k c_k e^{-i lambda_k t},
+    one in each bracket [lo[j], hi[j]], starting from t[j].
+
+    Every bracket is refined at once by Newton's method on d|f|^2/dt, whose
+    derivatives are closed-form sums over the spectrum.  Each step first
+    shrinks the bracket to the side where d|f|^2/dt changes sign; a step that
+    would leave the bracket, or a second derivative of the wrong sign, falls
+    back to bisection.  A bracket stops when its step is at most
+    1e-14 + 4 eps |t|, the rounding level of t.  Returns (times, |f| there).
+    """
+    lams = np.asarray(lams, dtype=float)
+    c0 = np.asarray(coeffs, dtype=complex)
+    c1 = -1j * lams * c0
+    c2 = -lams * lams * c0
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    t = np.array(t, dtype=float)
+    sign = -1.0 if maximize else 1.0
+    active = np.arange(len(t))
+    for _ in range(REFINE_MAX_STEPS):
+        if not len(active):
+            break
+        ta = t[active]
+        e = np.exp(-1j * np.outer(ta, lams))
+        f, f1, f2 = e @ c0, e @ c1, e @ c2
+        # sign * d|f|^2/dt and sign * d^2|f|^2/dt^2; the extremum is a minimum of sign*|f|^2
+        g1 = 2.0 * sign * (f.real * f1.real + f.imag * f1.imag)
+        g2 = 2.0 * sign * (_abs2(f1) + f.real * f2.real + f.imag * f2.imag)
+        rising = g1 > 0
+        hi[active[rising]] = ta[rising]
+        lo[active[~rising]] = ta[~rising]
+        la, ha = lo[active], hi[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ta - g1 / g2
+        newton = (g2 > 0) & (step >= la) & (step <= ha)
+        step = np.where(newton, step, 0.5 * (la + ha))
+        t[active] = step
+        active = active[np.abs(step - ta) > 1e-14 + 4.0 * np.finfo(float).eps * np.abs(ta)]
+    return t, np.abs(np.exp(-1j * np.outer(t, lams)) @ c0)
 
 
 # -- the eigenspace weight test -------------------------------------------------
@@ -162,10 +203,6 @@ class WeightTest:
         """Row indices of the targets that pass, with two or more supported
         eigenspaces (distinct basis states cannot share just one)."""
         return np.flatnonzero(~self.failed.any(axis=1) & (self.supported.sum(axis=1) >= 2))
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
 
 
 def weight_test(dec: SpectralDecomposition, a: int, targets,
@@ -215,16 +252,24 @@ def check_transfer(
     scan_grid: int = DEFAULT_SCAN_GRID,
 ) -> TransferVerdict:
     """Decide perfect state transfer from vertex a to vertex b under H."""
+    return _check(
+        h, a, b, grouping_tol, support_tol, weight_tol,
+        fidelity_tol=fidelity_tol, max_denominator=max_denominator,
+        residual_tol=residual_tol, t_max=t_max, scan_grid=scan_grid,
+    )[2]
+
+
+def _check(h, a: int, b: int, grouping_tol: float = DEFAULT_GROUPING_TOL,
+           support_tol: float = DEFAULT_SUPPORT_TOL, weight_tol: float = DEFAULT_WEIGHT_TOL,
+           **decide_kwargs):
+    """check_transfer, returning (validated h, its decomposition, verdict)."""
     if a == b:
         raise VertexCoincide("source and target must differ")
     h = require_hermitian(h)
     _require_vertices(h.shape[0], a, b)
     dec = decompose(h, grouping_tol)
-    return _decide(
-        dec, is_real_hamiltonian(h), weight_test(dec, a, [b], support_tol, weight_tol), 0,
-        fidelity_tol=fidelity_tol, max_denominator=max_denominator,
-        residual_tol=residual_tol, t_max=t_max, scan_grid=scan_grid,
-    )
+    test = weight_test(dec, a, [b], support_tol, weight_tol)
+    return h, dec, _decide(dec, is_real_hamiltonian(h), test, 0, **decide_kwargs)
 
 
 def _decide(
@@ -322,7 +367,7 @@ def _real_phase_existence(dec, supported, phases, max_denominator, residual_tol)
 
 
 def _numeric_phase_search(dec, a, b, t_max, scan_grid, fidelity_tol):
-    """Grid scan of |<b|e^{-iHt}|a>| with golden-section refinement.
+    """Grid scan of |<b|e^{-iHt}|a>| with Newton refinement of its peaks.
 
     Used for complex Hamiltonians, where no exact phase-existence test is
     attempted; an inconclusive scan yields UNDECIDED, not NO_TRANSFER.
@@ -331,33 +376,24 @@ def _numeric_phase_search(dec, a, b, t_max, scan_grid, fidelity_tol):
     horizon = t_max * 2.0 / radius if radius > 0 else t_max
     times = np.linspace(horizon / scan_grid, horizon, scan_grid)
     mags = np.abs(fidelity_curve(dec, a, b, times))
-    c = _pair_amplitude_coeffs(dec, a, b)
-    lams = np.asarray(dec.eigenvalues)
 
-    def neg_mag(t):
-        return -abs(np.exp(-1j * lams * t) @ c)
-
-    def refine(i):
-        lo = times[max(0, i - 1)]
-        hi = times[min(len(times) - 1, i + 1)]
-        opt = minimize_scalar(neg_mag, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-14})
-        return float(opt.x), -float(opt.fun)
-
-    # refine near-perfect local maxima in time order so the earliest perfect
-    # time wins; the coarse cutoff accounts for grid discretization error
+    # refine the near-perfect local maxima and the grid's best point; the
+    # earliest perfect time wins, and the coarse cutoff accounts for grid
+    # discretization error
     dt = times[1] - times[0]
     coarse = 1.0 - max(fidelity_tol, (radius * dt) ** 2)
-    interior = (mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])
-    peaks = [i + 1 for i in np.flatnonzero(interior) if mags[i + 1] >= coarse]
+    interior = (mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:]) & (mags[1:-1] >= coarse)
     best_i = int(np.argmax(mags))
-    best_t, best_mag = float(times[best_i]), float(mags[best_i])
-    for i in [*peaks, best_i]:
-        t, mag = refine(i)
-        if mag >= 1.0 - fidelity_tol:
-            return TransferVerdict(PERFECT, t0=t)
-        if mag > best_mag:
-            best_t, best_mag = t, mag
+    idx = np.append(np.flatnonzero(interior) + 1, best_i)
+    refined, peak = refine_extrema(
+        dec.eigenvalues, _pair_amplitude_coeffs(dec, a, b),
+        times[np.maximum(idx - 1, 0)], times[np.minimum(idx + 1, len(times) - 1)],
+        times[idx], maximize=True,
+    )
+    perfect = np.flatnonzero(peak >= 1.0 - fidelity_tol)
+    if len(perfect):
+        return TransferVerdict(PERFECT, t0=float(refined[perfect[0]]))
+    best_mag = max(float(mags[best_i]), float(peak.max()))
     return TransferVerdict(
         UNDECIDED,
         reason=f"numeric scan max fidelity {best_mag:.9f} over (0, {horizon:.3g}]",
@@ -368,7 +404,7 @@ def _numeric_phase_search(dec, a, b, t_max, scan_grid, fidelity_tol):
 def minimal_transfer_time(verdict: TransferVerdict) -> float:
     """r * pi / chi for a Perfect verdict."""
     if not verdict.is_perfect:
-        raise NotPerfect("verdict is not Perfect")
+        raise NotPerfect("verdict is not Perfect", verdict)
     return verdict.t0
 
 

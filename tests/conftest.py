@@ -9,7 +9,8 @@ def scan_max_fidelity(h, a, b, t_hi, grid=10**4):
     """Brute-force oracle: max |<b|e^{-iHt}|a>| over (0, t_hi], grid + refinement.
 
     Deliberately ignorant of the symbolic decision path (gap structure,
-    parities); it only uses the raw amplitude curve.
+    parities); it only uses the raw amplitude curve, and refines with
+    scipy's Brent minimizer rather than pstlab's refine_extrema.
     """
     dec = decompose(np.asarray(h, dtype=complex))
     times = np.linspace(t_hi / grid, t_hi, grid)

@@ -168,6 +168,16 @@ class TestBounds:
         assert (rate["D"], rate["M"], rate["l"]) == (2, 3, 0)
         assert rate["bound_satisfied"] is True
 
+    def test_rate_decomposes_once(self, p3_file, capsys, eigh_calls):
+        # P3's Laplacian spectrum is integral, so the rate report's
+        # decomposition is the only one
+        code = main(["bounds", p3_file, "--source", "0", "--target", "2", "--json"])
+        assert code == 0 and eigh_calls == [1]
+        assert json.loads(capsys.readouterr().out)["rate"] == {
+            "D": 2, "M": 3, "l": 0, "zero_times": [], "bound_satisfied": True,
+            "ml_lower_bound": math.pi / 4,
+        }
+
     def test_rate_on_non_perfect_pair(self, k3_g6_file, capsys):
         code = main(["bounds", k3_g6_file, "--source", "0", "--target", "1",
                      "--json"])

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from pstlab import (
+    Config,
+    VertexCoincide,
     adjacency_hamiltonian,
+    asymmetric_5chain_couplings,
     autocorrelation_zeros,
+    cartesian_product,
     chain_hamiltonian,
     check_transfer,
     complement,
@@ -90,8 +94,11 @@ class TestRateReport:
         assert r.ml_lower_bound == pytest.approx(math.pi / 4)
 
     def test_requires_perfect(self):
-        with pytest.raises(NotPerfect):
-            rate_report(adjacency_hamiltonian(K3).astype(float), 0, 1)
+        h = adjacency_hamiltonian(K3).astype(float)
+        with pytest.raises(NotPerfect) as info:
+            rate_report(h, 0, 1)
+        assert info.value.verdict == check_transfer(h, 0, 1)
+        assert info.value.verdict.status == "no-transfer"
 
     def test_one_eigendecomposition(self, eigh_calls):
         assert rate_report(STD5, 1, 3).l == 1
@@ -100,6 +107,52 @@ class TestRateReport:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             rate_report(NON_HERMITIAN, 0, 2)
+
+    def test_takes_check_transfer_arguments(self):
+        assert rate_report(STD5, 1, 3, **Config().check_kwargs()).l == 1
+        # a support tolerance above every weight leaves no supported eigenspace
+        with pytest.raises(NotPerfect):
+            rate_report(STD5, 1, 3, support_tol=2.0)
+        with pytest.raises(VertexCoincide):
+            rate_report(STD5, 1, 1)
+
+
+def _pst_chain(n):
+    return chain_hamiltonian(standard_pst_chain_couplings(n))
+
+
+def _adjacency(g):
+    return adjacency_hamiltonian(g).astype(float)
+
+
+def _chain_square(n):
+    h = _pst_chain(n).real
+    return np.kron(h, np.eye(n)) + np.kron(np.eye(n), h)
+
+
+P3_CUBED = cartesian_product(cartesian_product(P3, P3), P3)
+NO_ZERO_FAMILIES = (
+    [(f"chain-{n}", _pst_chain(n), 0, n - 1) for n in (6, 8, 10, 16, 32)]
+    + [(f"Q{d}", _adjacency(hypercube_graph(d)), 0, 2 ** d - 1) for d in (5, 6, 7)]
+    + [("P3xP3xP3", _adjacency(P3_CUBED), 0, 26), ("chain-5xchain-5", _chain_square(5), 0, 24)]
+)
+
+
+class TestZeroSearchNoise:
+    """The autocorrelation of these sources, cos^(N-1) t and its products,
+    has no zero before t0; near t0 it is below rounding for a long stretch,
+    and the minima of its rounding noise are not zeros."""
+
+    @pytest.mark.parametrize("label,h,a,b", NO_ZERO_FAMILIES, ids=[f[0] for f in NO_ZERO_FAMILIES])
+    def test_no_zeros_before_t0(self, label, h, a, b):
+        r = rate_report(h, a, b)
+        assert r.l == 0 and r.zero_times == ()
+        assert r.bound_satisfied
+
+    def test_asymmetric_chain_zero_at_pi_over_3(self):
+        r = rate_report(chain_hamiltonian(asymmetric_5chain_couplings(1.2)), 1, 3)
+        assert r.l == 1
+        assert abs(r.zero_times[0] - math.pi / 3) <= 1e-12
 
 
 class TestRoutingBound:

@@ -31,6 +31,8 @@ from pstlab.transfer import (
     NonzeroDiagonal,
     NotBipartite,
     PhaseUndefined,
+    _pair_amplitude_coeffs,
+    refine_extrema,
     weight_test,
 )
 
@@ -333,7 +335,8 @@ class TestValidation:
         assert np.abs(h - h.conj().T).max() > 0  # rounding breaks exact symmetry
         v = check_transfer(h, 0, n - 1)
         assert v.is_perfect
-        assert v.t0 == pytest.approx(math.pi / 2, abs=1e-4)
+        # the numeric scan refines its peak to rounding
+        assert v.t0 == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def reference_weight_test(dec, a, b, support_tol=1e-9, weight_tol=1e-8):
@@ -398,10 +401,68 @@ def test_check_transfer_calls_eigh_once(eigh_calls):
     assert eigh_calls == [1]
 
 
+def test_amplitude_coeffs_match_reference_loop(small_connected_graphs):
+    # the per-eigenspace loop that np.add.reduceat replaced; the sums run in
+    # another order, so they agree to a few roundings of numbers below 1
+    hamiltonians = [adjacency_hamiltonian(g).astype(float) for g in small_connected_graphs[5]]
+    hamiltonians.append(gauged_pst_chain(6, 4))
+    for h in hamiltonians:
+        dec = decompose(h)
+        for a in range(dec.n):
+            for b in range(dec.n):
+                ref = [np.vdot(basis[a], basis[b]) for basis in dec.bases]
+                assert np.abs(_pair_amplitude_coeffs(dec, a, b) - ref).max() <= 1e-14
+
+
+class TestRefineExtrema:
+    # f(t) = (1 + e^{-2it}) / 2, so |f(t)| = |cos t|
+    LAMS = [0.0, 2.0]
+    COEFFS = [0.5, 0.5]
+
+    def test_zero_of_cosine(self):
+        t, mag = refine_extrema(self.LAMS, self.COEFFS, [1.5], [1.7], [1.55])
+        assert abs(t[0] - math.pi / 2) <= 1e-12
+        assert mag[0] <= 1e-12
+
+    def test_peak_of_cosine(self):
+        t, mag = refine_extrema(self.LAMS, self.COEFFS, [3.0], [3.3], [3.1], maximize=True)
+        assert abs(t[0] - math.pi) <= 1e-12
+        assert mag[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_many_brackets_in_one_call(self):
+        lo = np.array([1.4, 4.6, 7.8, 0.3, 2.0])
+        hi = np.array([1.8, 4.8, 7.9, 0.5, 2.2])
+        start = np.array([1.41, 4.79, 7.85, 0.4, 2.1])
+        t, mag = refine_extrema(self.LAMS, self.COEFFS, lo, hi, start)
+        assert np.all((lo <= t) & (t <= hi))
+        # the three zeros of cos t inside their brackets
+        assert np.abs(t[:3] - np.array([0.5, 1.5, 2.5]) * math.pi).max() <= 1e-12
+        # |cos t| falls across [0.3, 0.5] and rises across [2.0, 2.2]: the
+        # minimum over the bracket is its right and its left end
+        assert t[3] == pytest.approx(0.5, abs=1e-12)
+        assert t[4] == pytest.approx(2.0, abs=1e-12)
+        assert mag == pytest.approx(np.abs(np.cos(t)), abs=1e-15)
+
+    def test_no_brackets(self):
+        t, mag = refine_extrema(self.LAMS, self.COEFFS, [], [], [])
+        assert t.shape == mag.shape == (0,)
+
+
 def test_import_does_not_load_scipy():
-    # scipy.optimize is imported by the first refinement, not by the package
+    # neither importing pstlab nor refining a time, in the zero search or the
+    # numeric scan, loads scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
-    subprocess.run(
-        [sys.executable, "-c", "import pstlab, sys; assert 'scipy' not in sys.modules"],
-        check=True, env={**os.environ, "PYTHONPATH": src},
-    )
+    code = """
+import sys
+import numpy as np
+import pstlab
+assert 'scipy' not in sys.modules
+n = 10
+chain = pstlab.chain_hamiltonian(pstlab.standard_pst_chain_couplings(n))
+assert pstlab.rate_report(chain, 0, n - 1).l == 0
+d = np.exp(1j * np.arange(n))
+assert pstlab.check_transfer(d[:, None] * chain * d.conj()[None, :], 0, n - 1).is_perfect
+assert 'scipy' not in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
