@@ -30,7 +30,7 @@ from .search import (
     write_records,
     write_records_csv,
 )
-from .spectral import decompose, integer_char_poly, is_integral_spectrum
+from .spectral import _require_vertices, decompose, integer_char_poly, is_integral_spectrum
 from .transfer import NotPerfect, check_transfer, fidelity_curve
 
 EXIT_PERFECT = 0
@@ -178,6 +178,7 @@ def cmd_evolve(args, cfg: Config) -> int:
     if steps < 2 or end < start:
         print("error: need steps >= 2 and end >= start", file=sys.stderr)
         return EXIT_USAGE
+    _require_vertices(h.shape[0], args.source)
     dec = decompose(h, cfg.grouping_tol)
     times = np.linspace(start, end, steps)
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
@@ -200,7 +201,7 @@ def cmd_spectrum(args, cfg: Config) -> int:
     dec = decompose(h, cfg.grouping_tol)
     payload = {
         "eigenvalues": [float(v) for v in dec.eigenvalues],
-        "multiplicities": [b.shape[1] for b in dec.bases],
+        "multiplicities": dec.multiplicities.tolist(),
     }
     if args.model in ("adjacency", "laplacian"):
         hint = np.asarray(np.real(h)).astype(np.int64)

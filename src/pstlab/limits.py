@@ -15,6 +15,7 @@ from .hamiltonians import is_real_hamiltonian, require_hermitian, support_graph
 from .spectral import (
     DEFAULT_GROUPING_TOL,
     SpectralDecomposition,
+    _require_vertices,
     decompose,
     is_integral_spectrum,
 )
@@ -25,8 +26,6 @@ from .transfer import (
     NotPerfect,
     _check,
     _decide,
-    _pair_amplitude_coeffs,
-    _require_vertices,
     refine_extrema,
     weight_test,
 )
@@ -67,10 +66,8 @@ def autocorrelation_zeros(h, a: int, t0: float, grid: int = 10**4,
     if grid < 10**3:
         raise ValueError("grid must be at least 1000")
     if dec is None:
-        h = require_hermitian(h)
-        _require_vertices(h.shape[0], a)
-        dec = decompose(h)
-    weights = _pair_amplitude_coeffs(dec, a, a).real
+        dec = decompose(require_hermitian(h))
+    weights = dec.pair_coefficients(a, a).real
     lams = np.asarray(dec.eigenvalues)
     times = np.linspace(0.0, t0, grid + 1)
     # the weights are real, so |f| = |cos(X) w - i sin(X) w|

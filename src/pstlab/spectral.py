@@ -25,24 +25,25 @@ DEFAULT_MAX_DENOMINATOR = 10**6
 DEFAULT_RESIDUAL_TOL = 1e-9
 
 
+def _require_vertices(n: int, *vertices):
+    if not all(0 <= v < n for v in vertices):
+        raise IndexError(f"vertex out of range 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues grouped into eigenspaces with orthonormal bases.
+    """Eigenvalues grouped into eigenspaces, with one eigenvector matrix.
 
     eigenvalues[k] is the (mean) eigenvalue of eigenspace k, strictly
-    increasing; bases[k] is an (n, dim_k) array whose columns span it.
-    vectors holds every basis side by side, bases[k] being its columns
-    starts[k] to starts[k] + dim_k; it is derived from bases when not given.
+    increasing.  vectors is the (n, n) C-ordered matrix of orthonormal
+    eigenvectors, and eigenspace k is spanned by its columns starts[k] to
+    starts[k] + multiplicities[k].
     """
 
     eigenvalues: tuple
-    bases: tuple  # of (n, dim) complex arrays
+    vectors: np.ndarray = field(repr=False, compare=False)
+    starts: np.ndarray = field(repr=False, compare=False)  # first column of each eigenspace
     grouping_tol: float
-    vectors: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.vectors is None:
-            object.__setattr__(self, "vectors", np.hstack(self.bases))
 
     @property
     def n(self) -> int:
@@ -53,34 +54,25 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
     @cached_property
-    def starts(self) -> np.ndarray:
-        """The first column of each eigenspace in vectors."""
-        return np.cumsum([0, *(b.shape[1] for b in self.bases[:-1])])
+    def multiplicities(self) -> np.ndarray:
+        """The dimension of each eigenspace."""
+        return np.diff(self.starts, append=self.n)
 
     @cached_property
     def column_space(self) -> np.ndarray:
         """The eigenspace of each column of vectors."""
-        return np.repeat(np.arange(self.num_eigenspaces),
-                         [b.shape[1] for b in self.bases])
+        return np.repeat(np.arange(self.num_eigenspaces), self.multiplicities)
 
     @cached_property
     def degenerate(self) -> bool:
         """Whether some eigenspace has dimension two or more."""
         return self.num_eigenspaces < self.n
 
-    def projector(self, k: int) -> np.ndarray:
-        b = self.bases[k]
-        return b @ b.conj().T
-
-    def project(self, k: int, state: np.ndarray) -> np.ndarray:
-        b = self.bases[k]
-        return b @ (b.conj().T @ state)
-
-    def reconstruct(self) -> np.ndarray:
-        h = np.zeros((self.n, self.n), dtype=complex)
-        for lam, b in zip(self.eigenvalues, self.bases):
-            h += lam * (b @ b.conj().T)
-        return h
+    def pair_coefficients(self, a: int, b: int) -> np.ndarray:
+        """c_k = P_k[b,a], so that <b|e^{-iHt}|a> = sum_k c_k e^{-i lambda_k t}."""
+        _require_vertices(self.n, a, b)
+        v = self.vectors
+        return np.add.reduceat(v[a].conj() * v[b], self.starts)
 
 
 def decompose(h: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> SpectralDecomposition:
@@ -104,28 +96,23 @@ def decompose(h: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spec
     gap = grouping_tol * scale
     # an eigenspace is a run of eigenvalues whose consecutive gaps are <= gap
     bounds = [0, *(np.nonzero(~(vals[1:] - vals[:-1] <= gap))[0] + 1).tolist(), len(lam)]
-    # C order makes each basis row, basis[v], a contiguous vector
-    vecs = np.ascontiguousarray(vecs)
     eigenvalues = tuple(
         # np.mean's arithmetic (a sum, then one division) without its overhead
         lam[s] if e - s == 1 else float(np.add.reduce(vals[s:e]) / (e - s))
         for s, e in zip(bounds, bounds[1:])
     )
-    bases = tuple(vecs[:, s:e] for s, e in zip(bounds, bounds[1:]))
-    return SpectralDecomposition(eigenvalues, bases, grouping_tol, vecs)
+    # C order makes each row, vectors[v], a contiguous vector
+    return SpectralDecomposition(eigenvalues, np.ascontiguousarray(vecs),
+                                 np.array(bounds[:-1]), grouping_tol)
 
 
 def support_components(dec: SpectralDecomposition, v: int):
     """Per eigenspace: (index, projection of |v>, norm of the projection)."""
-    if not (0 <= v < dec.n):
-        raise IndexError(f"vertex {v} out of range")
-    state = np.zeros(dec.n, dtype=complex)
-    state[v] = 1.0
-    out = []
-    for k in range(dec.num_eigenspaces):
-        p = dec.project(k, state)
-        out.append((k, p, float(np.linalg.norm(p))))
-    return out
+    _require_vertices(dec.n, v)
+    # column k is P_k|v> = sum over the columns m of eigenspace k of V[:,m] conj(V[v,m])
+    proj = np.add.reduceat(dec.vectors * dec.vectors[v].conj(), dec.starts, axis=1)
+    return list(zip(range(dec.num_eigenspaces), proj.T,
+                    np.linalg.norm(proj, axis=0).tolist()))
 
 
 # -- exact integer characteristic polynomial ---------------------------------
@@ -136,13 +123,19 @@ def integer_char_poly(h) -> list:
 
     Faddeev-LeVerrier with arbitrary-precision Python integers, held in an
     object array so that the matrix products run in numpy's loop; every
-    division by the step index is exact.
+    division by the step index is exact.  Raises ValueError unless every
+    entry is a finite integer (integer-valued floats are accepted).
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     n = h.shape[0]
-    m = np.array([[int(x) for x in row] for row in h], dtype=object).reshape(n, n)
+    try:
+        m = np.array([[int(x) for x in row] for row in h], dtype=object).reshape(n, n)
+    except (TypeError, ValueError, OverflowError):  # NaN, infinite, not a number
+        m = None
+    if m is None or (h.dtype.kind not in "biu" and not (m == h).all()):
+        raise ValueError("matrix entries must be finite integers")
     diag = np.arange(n)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1

@@ -8,7 +8,6 @@ direct evolution before it is returned.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -22,6 +21,7 @@ from .spectral import (
     DEFAULT_RESIDUAL_TOL,
     CommensurabilityResult,
     SpectralDecomposition,
+    _require_vertices,
     decompose,
     real_gcd,
 )
@@ -66,11 +66,6 @@ class NonzeroDiagonal(ValueError):
     pass
 
 
-def _require_vertices(n: int, *vertices):
-    if not all(0 <= v < n for v in vertices):
-        raise IndexError("vertex out of range")
-
-
 @dataclass(frozen=True)
 class TransferVerdict:
     status: str  # PERFECT / NO_TRANSFER / UNDECIDED
@@ -98,19 +93,19 @@ def evolve(h: np.ndarray, state: np.ndarray, t: float, dec: SpectralDecompositio
         raise ValueError("state must be normalized")
     if dec is None:
         dec = decompose(h)
-    out = np.zeros_like(state)
-    for lam, b in zip(dec.eigenvalues, dec.bases):
-        out += cmath.exp(-1j * lam * t) * (b @ (b.conj().T @ state))
-    return out
+    v = dec.vectors
+    phases = np.exp(-1j * np.asarray(dec.eigenvalues) * t)[dec.column_space]
+    return v @ (phases * (v.conj().T @ state))
 
 
 def fidelity(h: np.ndarray, a: int, b: int, t: float, dec: SpectralDecomposition = None):
     """(amplitude <b|e^{-iHt}|a>, its magnitude)."""
     if dec is None:
         dec = decompose(h)
-    amp = 0j
-    for lam, basis in zip(dec.eigenvalues, dec.bases):
-        amp += cmath.exp(-1j * lam * t) * np.vdot(basis[a], basis[b])
+    terms = np.exp(-1j * np.asarray(dec.eigenvalues) * t) * dec.pair_coefficients(a, b)
+    # a running sum in spectrum order: np.sum and a BLAS product group the
+    # terms by vector width, and the last bits of transfer_phase would vary with it
+    amp = np.add.accumulate(terms)[-1]
     return amp, abs(amp)
 
 
@@ -118,15 +113,9 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def _pair_amplitude_coeffs(dec: SpectralDecomposition, a: int, b: int) -> np.ndarray:
-    """c_k = P_k[b,a], so that <b|e^{-iHt}|a> = sum_k c_k e^{-i lambda_k t}."""
-    v = dec.vectors
-    return np.add.reduceat(v[a].conj() * v[b], dec.starts)
-
-
 def fidelity_curve(dec: SpectralDecomposition, a: int, b: int, times: np.ndarray) -> np.ndarray:
     """Amplitudes <b|e^{-iHt}|a> on an array of times."""
-    c = _pair_amplitude_coeffs(dec, a, b)
+    c = dec.pair_coefficients(a, b)
     lams = np.asarray(dec.eigenvalues)
     return np.exp(-1j * np.outer(times, lams)) @ c
 
@@ -386,7 +375,7 @@ def _numeric_phase_search(dec, a, b, t_max, scan_grid, fidelity_tol):
     best_i = int(np.argmax(mags))
     idx = np.append(np.flatnonzero(interior) + 1, best_i)
     refined, peak = refine_extrema(
-        dec.eigenvalues, _pair_amplitude_coeffs(dec, a, b),
+        dec.eigenvalues, dec.pair_coefficients(a, b),
         times[np.maximum(idx - 1, 0)], times[np.minimum(idx + 1, len(times) - 1)],
         times[idx], maximize=True,
     )
@@ -422,6 +411,7 @@ def symmetry_operator(dec: SpectralDecomposition, a: int, b: int, phases=None,
     (one per supported eigenspace, in spectrum order); otherwise they are
     the ones the weight test finds.
     """
+    _require_vertices(dec.n, a, b)
     test = weight_test(dec, a, [b], support_tol, weight_tol)
     k = test.mismatch(0)
     if k is not None:

@@ -2,24 +2,21 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from pstlab import decompose, fidelity_curve
-
 
 def scan_max_fidelity(h, a, b, t_hi, grid=10**4):
     """Brute-force oracle: max |<b|e^{-iHt}|a>| over (0, t_hi], grid + refinement.
 
-    Deliberately ignorant of the symbolic decision path (gap structure,
-    parities); it only uses the raw amplitude curve, and refines with
-    scipy's Brent minimizer rather than pstlab's refine_extrema.
+    Deliberately ignorant of pstlab: it calls np.linalg.eigh itself, sums the
+    amplitude over single eigenvectors without grouping eigenspaces, and
+    refines with scipy's Brent minimizer rather than pstlab's refine_extrema.
     """
-    dec = decompose(np.asarray(h, dtype=complex))
+    lams, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
+    coeffs = vecs[a].conj() * vecs[b]
     times = np.linspace(t_hi / grid, t_hi, grid)
-    mags = np.abs(fidelity_curve(dec, a, b, times))
+    mags = np.abs(np.exp(-1j * np.outer(times, lams)) @ coeffs)
     i = int(np.argmax(mags))
     lo = times[max(0, i - 1)]
     hi = times[min(grid - 1, i + 1)]
-    lams = np.asarray(dec.eigenvalues)
-    coeffs = np.array([np.vdot(basis[a], basis[b]) for basis in dec.bases])
 
     def neg(t):
         return -abs(np.exp(-1j * lams * t) @ coeffs)
@@ -27,6 +24,12 @@ def scan_max_fidelity(h, a, b, t_hi, grid=10**4):
     opt = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-14})
     return float(opt.x), -float(opt.fun)
+
+
+def projectors(dec):
+    """P_k = B_k B_k^dag per eigenspace, B_k the columns of dec.vectors from
+    dec.starts[k] to the next start."""
+    return [b @ b.conj().T for b in np.split(dec.vectors, dec.starts[1:], axis=1)]
 
 
 @pytest.fixture(scope="session")

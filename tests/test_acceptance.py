@@ -52,7 +52,7 @@ from pstlab import (
 )
 from pstlab.graphs import Graph, bipartite_coloring
 
-from conftest import scan_max_fidelity
+from conftest import projectors, scan_max_fidelity
 from test_search import brute_force_classes
 
 
@@ -73,7 +73,7 @@ def basis_state(n, v):
 
 
 def full_eigenspace_support(dec, v, tol=1e-9):
-    return all(np.linalg.norm(basis[v]) > tol for basis in dec.bases)
+    return all(np.linalg.norm(p[:, v]) > tol for p in projectors(dec))
 
 
 @pytest.fixture(scope="module")

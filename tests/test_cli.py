@@ -120,6 +120,16 @@ class TestEvolve:
         assert lines[0].startswith("time,target,re,im,magnitude")
         assert len(lines) == 1 + 15
 
+    @pytest.mark.parametrize("source", ["-1", "3", "7"])
+    def test_source_out_of_range(self, p3_file, tmp_path, capsys, source):
+        # rejected before any output: no CSV header, no file
+        out = tmp_path / "curve.csv"
+        assert main(["evolve", p3_file, "--source", source, "--times", "0:1:5"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert main(["evolve", p3_file, "--source", source, "--times", "0:1:5",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
     def test_bad_times(self, p3_file, capsys):
         assert main(["evolve", p3_file, "--source", "0",
                      "--times", "nope"]) == EXIT_USAGE

@@ -70,6 +70,12 @@ class TestAutocorrelationValidation:
         with pytest.raises(IndexError):
             autocorrelation_zeros(A_K2, 2, 1.0)
 
+    @pytest.mark.parametrize("a", [-1, 2])
+    def test_rejects_vertex_out_of_range_with_decomposition(self, a):
+        # a = -1 would otherwise be vertex 1
+        with pytest.raises(IndexError):
+            autocorrelation_zeros(None, a, 1.0, dec=decompose(A_K2))
+
     def test_shared_decomposition(self, eigh_calls):
         dec = decompose(STD5)
         assert autocorrelation_zeros(None, 1, math.pi / 2, dec=dec) == (

@@ -20,6 +20,8 @@ from pstlab import (
 )
 from pstlab.graphs import bipartite_coloring
 
+from conftest import projectors
+
 K2 = complete_graph(2)
 K3 = complete_graph(3)
 P3 = path_graph(3)
@@ -32,43 +34,47 @@ class TestDecompose:
         assert dec.eigenvalues == pytest.approx(
             (-math.sqrt(2), 0.0, math.sqrt(2)), abs=1e-12
         )
-        assert all(b.shape[1] == 1 for b in dec.bases)
+        assert list(dec.multiplicities) == [1, 1, 1]
+        assert not dec.degenerate
 
     def test_k3_degenerate(self):
         dec = decompose(adjacency_hamiltonian(K3).astype(float))
         assert dec.eigenvalues == pytest.approx((-1.0, 2.0), abs=1e-12)
-        assert [b.shape[1] for b in dec.bases] == [2, 1]
+        assert list(dec.multiplicities) == [2, 1]
 
-    def test_bases_are_column_slices_of_vectors(self):
+    def test_eigenspaces_are_column_runs_of_vectors(self):
         dec = decompose(adjacency_hamiltonian(complete_graph(4)).astype(float))
+        assert dec.vectors.shape == (4, 4)
+        assert dec.vectors.flags.c_contiguous
         assert list(dec.starts) == [0, 3]
+        assert list(dec.multiplicities) == [3, 1]
         assert list(dec.column_space) == [0, 0, 0, 1]
         assert dec.degenerate
-        for k, b in enumerate(dec.bases):
-            s = dec.starts[k]
-            assert np.array_equal(b, dec.vectors[:, s:s + b.shape[1]])
-            assert b[0].flags.c_contiguous
 
     def test_zero_matrix(self):
         dec = decompose(np.zeros((3, 3)))
         assert dec.num_eigenspaces == 1
-        assert dec.bases[0].shape == (3, 3)
+        assert list(dec.starts) == [0]
+        assert list(dec.multiplicities) == [3]
 
     def test_projector_invariants(self, small_connected_graphs):
         for n in range(2, 6):
             for g in small_connected_graphs[n]:
                 for mat in (adjacency_hamiltonian(g), laplacian_hamiltonian(g)):
                     dec = decompose(mat.astype(float))
-                    total = np.zeros((g.n, g.n), dtype=complex)
-                    for k in range(dec.num_eigenspaces):
-                        p = dec.projector(k)
+                    v = dec.vectors
+                    lams = np.asarray(dec.eigenvalues)[dec.column_space]
+                    # V diag(lambda) V^dag = H
+                    assert np.abs((v * lams) @ v.conj().T - mat).max() <= 1e-8
+                    ps = projectors(dec)
+                    assert len(ps) == dec.num_eigenspaces
+                    for k, p in enumerate(ps):
                         assert np.linalg.norm(p @ p - p) <= 1e-9
-                        for k2 in range(k + 1, dec.num_eigenspaces):
-                            assert np.linalg.norm(p @ dec.projector(k2)) <= 1e-9
-                        total += p
-                    assert np.linalg.norm(total - np.eye(g.n)) <= 1e-9
-                    assert np.abs(dec.reconstruct() - mat).max() <= 1e-8
-                    assert sum(b.shape[1] for b in dec.bases) == g.n
+                        assert np.trace(p).real == pytest.approx(dec.multiplicities[k], abs=1e-9)
+                        for p2 in ps[k + 1:]:
+                            assert np.linalg.norm(p @ p2) <= 1e-9
+                    assert np.linalg.norm(sum(ps) - np.eye(g.n)) <= 1e-9
+                    assert dec.multiplicities.sum() == g.n
 
     def test_grouping_tol_positive(self):
         with pytest.raises(ValueError):
@@ -93,10 +99,24 @@ class TestSupportComponents:
                 total = sum(nrm**2 for _, _, nrm in support_components(dec, v))
                 assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_projections_match_projectors(self):
+        for mat in (adjacency_hamiltonian(K3), adjacency_hamiltonian(complete_graph(4)),
+                    laplacian_hamiltonian(cartesian_product(P3, P3))):
+            dec = decompose(mat.astype(float))
+            ps = projectors(dec)
+            for v in range(dec.n):
+                comps = support_components(dec, v)
+                assert [k for k, _, _ in comps] == list(range(dec.num_eigenspaces))
+                for k, proj, nrm in comps:
+                    assert proj.shape == (dec.n,)
+                    assert np.abs(proj - ps[k][:, v]).max() <= 1e-12
+                    assert nrm == pytest.approx(np.linalg.norm(ps[k][:, v]), abs=1e-12)
+
     def test_vertex_range(self):
         dec = decompose(np.eye(2))
-        with pytest.raises(IndexError):
-            support_components(dec, 2)
+        for v in (2, -1):
+            with pytest.raises(IndexError):
+                support_components(dec, v)
 
 
 def reference_char_poly(h):
@@ -124,6 +144,20 @@ class TestCharPoly:
 
     def test_k3(self):
         assert integer_char_poly(adjacency_hamiltonian(K3)) == [-2, -3, 0, 1]
+
+    def test_integer_valued_floats_accepted(self):
+        a = adjacency_hamiltonian(K3)
+        assert integer_char_poly(a.astype(float)) == [-2, -3, 0, 1]
+        assert is_integral_spectrum(a.astype(float)) == (True, [-1, -1, 2])
+
+    @pytest.mark.parametrize("x", [1.9, 0.5, -1e-9, math.nan, math.inf, -math.inf])
+    def test_non_integer_entries_rejected(self, x):
+        # [[0, 1.9], [1.9, 0]] has eigenvalues +-1.9, not the +-1 of [[0, 1], [1, 0]]
+        mat = np.array([[0.0, x], [x, 0.0]])
+        with pytest.raises(ValueError):
+            integer_char_poly(mat)
+        with pytest.raises(ValueError):
+            is_integral_spectrum(mat)
 
     def test_p3(self):
         assert integer_char_poly(adjacency_hamiltonian(P3)) == [0, -2, 0, 1]

@@ -20,6 +20,7 @@ from pstlab import (
     decompose,
     evolve,
     fidelity,
+    fidelity_curve,
     laplacian_hamiltonian,
     minimal_transfer_time,
     path_graph,
@@ -31,12 +32,11 @@ from pstlab.transfer import (
     NonzeroDiagonal,
     NotBipartite,
     PhaseUndefined,
-    _pair_amplitude_coeffs,
     refine_extrema,
     weight_test,
 )
 
-from conftest import scan_max_fidelity
+from conftest import projectors, scan_max_fidelity
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -81,6 +81,21 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(A_K2, np.array([1.0, 1.0]), 1.0)
 
+    def test_matches_eigh_exponential(self):
+        # against e^{-iHt} built from single eigenvectors, on degenerate and
+        # complex spectra
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        for h in (adjacency_hamiltonian(complete_graph(4)).astype(float),
+                  adjacency_hamiltonian(cartesian_product(P3, P3)).astype(float),
+                  z + z.conj().T):
+            lams, vecs = np.linalg.eigh(h)
+            state = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+            state /= np.linalg.norm(state)
+            for t in (0.4, 1.9, 7.3):
+                u = (vecs * np.exp(-1j * lams * t)) @ vecs.conj().T
+                assert np.abs(evolve(h, state, t) - u @ state).max() <= 1e-12
+
 
 class TestFidelity:
     def test_p3_transfer_time(self):
@@ -95,6 +110,24 @@ class TestFidelity:
     def test_self_at_zero(self):
         amp, mag = fidelity(A_K3, 1, 1, 0.0)
         assert amp == pytest.approx(1.0) and mag == pytest.approx(1.0)
+
+    def test_agrees_with_fidelity_curve(self):
+        h = adjacency_hamiltonian(cartesian_product(P3, P3)).astype(float)
+        dec = decompose(h)
+        times = np.array([0.0, 0.8, math.pi / math.sqrt(2), 5.1])
+        for a, b in ((0, 8), (0, 4), (2, 2)):
+            curve = fidelity_curve(dec, a, b, times)
+            for t, want in zip(times, curve):
+                amp, mag = fidelity(h, a, b, t, dec)
+                assert abs(amp - want) <= 1e-14 and mag == pytest.approx(abs(want), abs=1e-14)
+
+    @pytest.mark.parametrize("a,b", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_vertex_out_of_range(self, a, b):
+        # a negative index would otherwise read vertex n - 1
+        with pytest.raises(IndexError):
+            fidelity(A_P3, a, b, 1.0)
+        with pytest.raises(IndexError):
+            fidelity_curve(decompose(A_P3), a, b, np.array([1.0]))
 
 
 class TestCheckTransfer:
@@ -186,6 +219,12 @@ class TestSymmetryOperator:
         self._assert_invariants(s, h, 1, 3, real=True)
         entries = np.abs(np.real_if_close(s))
         assert not np.allclose(entries * (1 - entries), 0, atol=1e-8)
+
+    @pytest.mark.parametrize("a,b", [(0, -1), (-3, 2), (0, 3)])
+    def test_vertex_out_of_range(self, a, b):
+        # (0, -1) would otherwise be the valid pair (0, 2) of P3
+        with pytest.raises(IndexError):
+            symmetry_operator(decompose(A_P3), a, b)
 
 
 class TestBipartitePhaseClass:
@@ -342,10 +381,9 @@ class TestValidation:
 def reference_weight_test(dec, a, b, support_tol=1e-9, weight_tol=1e-8):
     """The per-eigenspace loop the vectorized weight test replaced:
     (first failing eigenspace or None, supported eigenspaces, phases)."""
-    ea, eb = basis_state(dec.n, a), basis_state(dec.n, b)
     supported, phases = [], []
-    for k in range(dec.num_eigenspaces):
-        v, w = dec.project(k, ea), dec.project(k, eb)
+    for k, p in enumerate(projectors(dec)):
+        v, w = p[:, a], p[:, b]
         nv, nw = np.linalg.norm(v), np.linalg.norm(w)
         if nv <= support_tol and nw <= support_tol:
             continue
@@ -402,16 +440,17 @@ def test_check_transfer_calls_eigh_once(eigh_calls):
 
 
 def test_amplitude_coeffs_match_reference_loop(small_connected_graphs):
-    # the per-eigenspace loop that np.add.reduceat replaced; the sums run in
-    # another order, so they agree to a few roundings of numbers below 1
+    # a loop over eigenspaces with np.vdot on each one's columns; the sums run
+    # in another order, so they agree to a few roundings of numbers below 1
     hamiltonians = [adjacency_hamiltonian(g).astype(float) for g in small_connected_graphs[5]]
     hamiltonians.append(gauged_pst_chain(6, 4))
     for h in hamiltonians:
         dec = decompose(h)
+        blocks = np.split(dec.vectors, dec.starts[1:], axis=1)
         for a in range(dec.n):
             for b in range(dec.n):
-                ref = [np.vdot(basis[a], basis[b]) for basis in dec.bases]
-                assert np.abs(_pair_amplitude_coeffs(dec, a, b) - ref).max() <= 1e-14
+                ref = [np.vdot(block[a], block[b]) for block in blocks]
+                assert np.abs(dec.pair_coefficients(a, b) - ref).max() <= 1e-14
 
 
 class TestRefineExtrema:
