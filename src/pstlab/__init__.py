@@ -84,7 +84,6 @@ from .search import (
     write_records,
     write_records_csv,
 )
-from .config import Config
 
 __version__ = "0.1.0"
 
@@ -117,6 +116,4 @@ __all__ = [
     "canonical_form", "census", "enumerate_connected_graphs",
     "read_graph6_stream", "read_records", "write_records",
     "write_records_csv",
-    # config
-    "Config",
 ]

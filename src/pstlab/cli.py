@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import graphs as G
-from .config import Config
 from .hamiltonians import (
     adjacency_hamiltonian,
     laplacian_hamiltonian,
@@ -71,7 +70,7 @@ def load_graph(path: str) -> G.Graph:
             raise ParseFailure(f"bad JSON graph: {exc}") from exc
     try:
         return G.parse_graph6(stripped.splitlines()[0])
-    except (G.MalformedGraph6, IndexError) as exc:
+    except (ValueError, IndexError) as exc:  # MalformedGraph6, the n = 0 graph, an empty file
         raise ParseFailure(f"not a JSON graph or graph6 line: {exc}") from exc
 
 
@@ -127,9 +126,9 @@ def build_hamiltonian(args) -> np.ndarray:
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_check(args, cfg: Config) -> int:
+def cmd_check(args) -> int:
     h = build_hamiltonian(args)
-    verdict = check_transfer(h, args.source, args.target, **cfg.check_kwargs())
+    verdict = check_transfer(h, args.source, args.target)
     if args.json:
         out = {
             "status": verdict.status,
@@ -167,7 +166,7 @@ def cmd_check(args, cfg: Config) -> int:
     }[verdict.status]
 
 
-def cmd_evolve(args, cfg: Config) -> int:
+def cmd_evolve(args) -> int:
     h = build_hamiltonian(args)
     try:
         start, end, steps = args.times.split(":")
@@ -179,7 +178,7 @@ def cmd_evolve(args, cfg: Config) -> int:
         print("error: need steps >= 2 and end >= start", file=sys.stderr)
         return EXIT_USAGE
     _require_vertices(h.shape[0], args.source)
-    dec = decompose(h, cfg.grouping_tol)
+    dec = decompose(h)
     times = np.linspace(start, end, steps)
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
@@ -196,9 +195,9 @@ def cmd_evolve(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_spectrum(args, cfg: Config) -> int:
+def cmd_spectrum(args) -> int:
     h = build_hamiltonian(args)
-    dec = decompose(h, cfg.grouping_tol)
+    dec = decompose(h)
     payload = {
         "eigenvalues": [float(v) for v in dec.eigenvalues],
         "multiplicities": dec.multiplicities.tolist(),
@@ -226,7 +225,7 @@ def cmd_spectrum(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_bounds(args, cfg: Config) -> int:
+def cmd_bounds(args) -> int:
     g = load_graph(args.input)
     report = laplacian_diameter_bounds(g, tuple(args.alpha))
     payload = {
@@ -242,7 +241,7 @@ def cmd_bounds(args, cfg: Config) -> int:
         h = (laplacian_hamiltonian(g) if args.model == "laplacian"
              else adjacency_hamiltonian(g)).astype(float)
         try:
-            rr = rate_report(h, args.source, args.target, **cfg.check_kwargs())
+            rr = rate_report(h, args.source, args.target)
         except NotPerfect as exc:
             payload["rate"] = {"status": exc.verdict.status, "reason": exc.verdict.reason}
         else:
@@ -265,7 +264,7 @@ def cmd_bounds(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_product(args, cfg: Config) -> int:
+def cmd_product(args) -> int:
     g1 = load_graph(args.g1)
     if args.op == "complement":
         print(G.complement(g1).to_json())
@@ -286,21 +285,26 @@ def cmd_product(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_search(args, cfg: Config) -> int:
+def cmd_search(args) -> int:
     if (args.n is None) == (args.graph6_file is None):
         print("error: provide exactly one of --n / --graph6-file", file=sys.stderr)
         return EXIT_USAGE
     if args.n is not None:
         graphs = list(enumerate_connected_graphs(args.n))
     else:
-        with open(args.graph6_file) as fh:
-            graphs = list(read_graph6_stream(fh))
+        try:
+            with open(args.graph6_file) as fh:
+                graphs = list(read_graph6_stream(fh))
+        except OSError as exc:
+            raise ParseFailure(str(exc)) from exc
+        except ValueError as exc:  # MalformedGraph6, or the n = 0 graph
+            raise ParseFailure(f"bad graph6 line: {exc}") from exc
     models = tuple(args.models.split(","))
     for m in models:
         if m not in MODELS:
             print(f"error: unknown model {m!r}", file=sys.stderr)
             return EXIT_USAGE
-    result = census(graphs, models, workers=cfg.workers)
+    result = census(graphs, models, workers=args.workers)
     write_records(result.records, args.out)
     if args.csv:
         write_records_csv(result.records, args.csv)
@@ -315,11 +319,6 @@ def cmd_search(args, cfg: Config) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="pstlab",
                      description="Perfect state transfer on coupling graphs")
-    for name in ("grouping-tol", "support-tol", "residual-tol",
-                 "fidelity-tol", "weight-tol", "t-max"):
-        parser.add_argument(f"--{name}", type=float, default=None)
-    parser.add_argument("--max-denominator", type=int, default=None)
-    parser.add_argument("--scan-grid", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -366,25 +365,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merge_config(args) -> Config:
-    cfg = Config.from_env()
-    overrides = {
-        "grouping_tol": args.grouping_tol,
-        "support_tol": args.support_tol,
-        "residual_tol": args.residual_tol,
-        "fidelity_tol": args.fidelity_tol,
-        "weight_tol": args.weight_tol,
-        "t_max": args.t_max,
-        "max_denominator": args.max_denominator,
-        "scan_grid": args.scan_grid,
-        "workers": args.workers,
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(cfg, name, value)
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -396,7 +376,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.command == "bounds" and args.alpha is None:
         args.alpha = [2.0, math.e, 4.0]
-    cfg = _merge_config(args)
     handler = {
         "check": cmd_check,
         "evolve": cmd_evolve,
@@ -406,7 +385,7 @@ def main(argv=None) -> int:
         "search": cmd_search,
     }[args.command]
     try:
-        return handler(args, cfg)
+        return handler(args)
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -37,7 +37,9 @@ def weighted_hamiltonian(g: Graph, couplings: dict, fields=None) -> np.ndarray:
     """Hermitian H1 with couplings J on the edges of g and fields B on the diagonal.
 
     couplings maps an edge (u, v) to J_{uv}; the stored value applies to the
-    (u, v) entry with u < v and the mirror entry is its conjugate.
+    (u, v) entry with u < v and the mirror entry is its conjugate.  fields is
+    a list of at most n values, or a dict from vertex to value; a vertex
+    outside 0..n-1 raises ValueError.
     """
     h = np.zeros((g.n, g.n), dtype=complex)
     for (u, v), j in couplings.items():
@@ -50,6 +52,8 @@ def weighted_hamiltonian(g: Graph, couplings: dict, fields=None) -> np.ndarray:
         h[e[1], e[0]] = np.conjugate(j)
     if fields is not None:
         for v, b in (fields.items() if isinstance(fields, dict) else enumerate(fields)):
+            if not (isinstance(v, (int, np.integer)) and 0 <= v < g.n):
+                raise ValueError(f"field vertex {v!r} is not in 0..{g.n - 1}")
             h[v, v] = float(b)
     return h
 
@@ -64,8 +68,8 @@ def chain_hamiltonian(couplings, fields=None) -> np.ndarray:
     return weighted_hamiltonian(g, cmap, fields)
 
 
-def is_real_hamiltonian(h: np.ndarray, tol: float = 0.0) -> bool:
-    return bool(np.all(np.abs(np.imag(np.asarray(h, dtype=complex))) <= tol))
+def is_real_hamiltonian(h: np.ndarray) -> bool:
+    return bool(np.all(np.imag(np.asarray(h, dtype=complex)) == 0))
 
 
 def support_graph(h: np.ndarray) -> Graph:
@@ -81,14 +85,15 @@ def support_graph(h: np.ndarray) -> Graph:
 HERMITIAN_RTOL = 1e-10
 
 
-def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def require_hermitian(h) -> np.ndarray:
     """h as a complex array, once it is known to be a square, finite and
     Hermitian matrix.
 
-    Hermiticity is tested on the real and imaginary parts, against rtol
-    times their largest entry: a matrix built as D H D^dag carries a few ulps
-    of rounding, while eigh, reading only one triangle, would silently answer
-    for a different matrix than a genuinely non-Hermitian input.
+    Hermiticity is tested on the real and imaginary parts, against
+    HERMITIAN_RTOL times their largest entry: a matrix built as D H D^dag
+    carries a few ulps of rounding, while eigh, reading only one triangle,
+    would silently answer for a different matrix than a genuinely
+    non-Hermitian input.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -106,7 +111,7 @@ def require_hermitian(h, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
             im = h.imag
             asym = max(asym, np.abs(im + im.T).max())
             scale = max(scale, np.abs(im).max())
-        if asym > rtol * scale:
+        if asym > HERMITIAN_RTOL * scale:
             raise ValueError(f"Hamiltonian is not Hermitian (largest asymmetry {asym:.3g})")
     return np.asarray(h, dtype=complex)
 
@@ -137,12 +142,15 @@ def standard_pst_chain_couplings(n: int):
     return tuple(math.sqrt(k * (n - k)) for k in range(1, n))
 
 
-def check_coupling_identity_5chain(j, rtol: float = 1e-12) -> bool:
-    """J1^2 + J2^2 == J3^2 + J4^2, within relative tolerance."""
+COUPLING_IDENTITY_RTOL = 1e-12
+
+
+def check_coupling_identity_5chain(j) -> bool:
+    """J1^2 + J2^2 == J3^2 + J4^2, to within COUPLING_IDENTITY_RTOL."""
     if len(j) != 4:
         raise ValueError("expected four couplings")
     if any(x <= 0 for x in j):
         raise NonPositiveCoupling("all couplings must be strictly positive")
     lhs = j[0] ** 2 + j[1] ** 2
     rhs = j[2] ** 2 + j[3] ** 2
-    return abs(lhs - rhs) <= rtol * max(abs(lhs), abs(rhs))
+    return abs(lhs - rhs) <= COUPLING_IDENTITY_RTOL * max(abs(lhs), abs(rhs))

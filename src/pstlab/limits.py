@@ -13,15 +13,12 @@ import numpy as np
 from .graphs import Graph, diameter, distance
 from .hamiltonians import is_real_hamiltonian, require_hermitian, support_graph
 from .spectral import (
-    DEFAULT_GROUPING_TOL,
     SpectralDecomposition,
     _require_vertices,
     decompose,
     is_integral_spectrum,
 )
 from .transfer import (
-    DEFAULT_SUPPORT_TOL,
-    DEFAULT_WEIGHT_TOL,
     NonRealHamiltonian,
     NotPerfect,
     _check,
@@ -29,6 +26,12 @@ from .transfer import (
     refine_extrema,
     weight_test,
 )
+
+
+ZERO_GRID = 10**4  # intervals of autocorrelation_zeros' grid on [0, t0]
+ZERO_TOL = 1e-8  # |<a|e^{-iHt}|a>| at or below this is a zero
+COMPLEMENT_TOL = 1e-8  # allowed distance of t0 * n from a multiple of 2 pi
+CEIL_TOL = 1e-9  # _safe_ceil rounds x to an integer this close
 
 
 class Disconnected(ValueError):
@@ -49,31 +52,29 @@ class RateReport:
     ml_lower_bound: float  # Margolus-Levitin: (l+1) pi / (4 sum_j |J_aj|)
 
 
-def autocorrelation_zeros(h, a: int, t0: float, grid: int = 10**4,
-                          tol: float = 1e-8, dec: SpectralDecomposition = None):
+def autocorrelation_zeros(h, a: int, t0: float, dec: SpectralDecomposition = None):
     """Times t in (0, t0) with <a|e^{-iHt}|a> = 0.
 
     The autocorrelation f is complex, so zeros are located as local minima of
-    |f| on a grid, all refined in one refine_extrema call; both real and
-    imaginary parts must vanish (|f| <= tol) for a time to count.  A grid
-    minimum is a candidate only where both grid neighbours lie above the
-    rounding level of f, since where |f| is at that level (near a zero of
-    high order, as cos^(N-1) t has at t0 = pi/2) its minima are noise.  A
-    caller that has decomposed H already passes dec, and h is then not read.
+    |f| on a grid of ZERO_GRID intervals, all refined in one refine_extrema
+    call; both real and imaginary parts must vanish (|f| <= ZERO_TOL) for a
+    time to count.  A grid minimum is a candidate only where both grid
+    neighbours lie above the rounding level of f, since where |f| is at that
+    level (near a zero of high order, as cos^(N-1) t has at t0 = pi/2) its
+    minima are noise.  A caller that has decomposed H already passes dec, and
+    h is then not read.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    if grid < 10**3:
-        raise ValueError("grid must be at least 1000")
     if dec is None:
         dec = decompose(require_hermitian(h))
     weights = dec.pair_coefficients(a, a).real
     lams = np.asarray(dec.eigenvalues)
-    times = np.linspace(0.0, t0, grid + 1)
+    times = np.linspace(0.0, t0, ZERO_GRID + 1)
     # the weights are real, so |f| = |cos(X) w - i sin(X) w|
     x = np.outer(times, lams)
     vals = np.hypot(np.cos(x) @ weights, np.sin(x) @ weights)
-    coarse = max(tol, 4.0 * float(np.abs(lams).max()) * (t0 / grid))
+    coarse = max(ZERO_TOL, 4.0 * float(np.abs(lams).max()) * (t0 / ZERO_GRID))
     noise = 64 * len(lams) * np.finfo(float).eps * float(np.abs(weights).sum())
     left, mid, right = vals[:-2], vals[1:-1], vals[2:]
     minima = 1 + np.flatnonzero((mid <= left) & (mid <= right) & (mid < coarse)
@@ -82,20 +83,20 @@ def autocorrelation_zeros(h, a: int, t0: float, grid: int = 10**4,
                                    times[minima])
     zeros = []
     for t, mag in zip(refined.tolist(), mags.tolist()):
-        if mag <= tol and 0.0 < t < t0:
-            if not zeros or t - zeros[-1] > 2 * t0 / grid:
+        if mag <= ZERO_TOL and 0.0 < t < t0:
+            if not zeros or t - zeros[-1] > 2 * t0 / ZERO_GRID:
                 zeros.append(t)
     return zeros
 
 
-def rate_report(h, a: int, b: int, **check_kwargs) -> RateReport:
+def rate_report(h, a: int, b: int) -> RateReport:
     """Rate-bound data for a Perfect instance.
 
-    The keyword arguments are those of check_transfer, and one decomposition
-    serves the decision and the report.  Raises NotPerfect, carrying the
-    verdict, when transfer from a to b is not decided perfect.
+    One decomposition serves the decision, as check_transfer makes it, and
+    the report.  Raises NotPerfect, carrying the verdict, when transfer from
+    a to b is not decided perfect.
     """
-    h, dec, verdict = _check(h, a, b, **check_kwargs)
+    h, dec, verdict = _check(h, a, b)
     if not verdict.is_perfect:
         raise NotPerfect("rate report requires a Perfect verdict", verdict)
     g = support_graph(h)
@@ -115,27 +116,24 @@ def routing_bound_check(D: int, J: int, M: int, N: int) -> bool:
     return D * J <= M - 1 and M <= N
 
 
-def routing_impossibility_scan(h, a: int, *, grouping_tol: float = DEFAULT_GROUPING_TOL,
-                               support_tol: float = DEFAULT_SUPPORT_TOL,
-                               weight_tol: float = DEFAULT_WEIGHT_TOL,
-                               **check_kwargs) -> dict:
+def routing_impossibility_scan(h, a: int) -> dict:
     """All targets with perfect transfer from a, as {target: t0}.
 
     For a real Hamiltonian at most one target can exist; a second one raises
-    RoutingViolation with the evidence in the message.  The keyword
-    arguments are those of check_transfer; one decomposition and one weight
-    test serve every target.
+    RoutingViolation with the evidence in the message.  Each target is
+    decided as check_transfer decides it, and one decomposition and one
+    weight test serve every target.
     """
     h = require_hermitian(h)
     if not is_real_hamiltonian(h):
         raise NonRealHamiltonian("routing scan is defined for real Hamiltonians")
     n = h.shape[0]
     _require_vertices(n, a)
-    dec = decompose(h, grouping_tol)
-    test = weight_test(dec, a, [c for c in range(n) if c != a], support_tol, weight_tol)
+    dec = decompose(h)
+    test = weight_test(dec, a, [c for c in range(n) if c != a])
     found = {}
     for j in test.passing():
-        verdict = _decide(dec, True, test, j, **check_kwargs)
+        verdict = _decide(dec, True, test, j)
         if verdict.is_perfect:
             found[int(test.targets[j])] = verdict.t0
     if len(found) > 1:
@@ -160,10 +158,10 @@ def _mohar_bound(d: int, n: int, alpha: float) -> int:
     return 2 * _safe_ceil(x) * _safe_ceil(y)
 
 
-def _safe_ceil(x: float, eps: float = 1e-9) -> int:
+def _safe_ceil(x: float) -> int:
     # guard against 2.0000000000000004-style float noise
     r = round(x)
-    if abs(x - r) <= eps:
+    if abs(x - r) <= CEIL_TOL:
         return r
     return math.ceil(x)
 
@@ -192,11 +190,11 @@ def laplacian_diameter_bounds(g: Graph, alphas=(2.0, math.e, 4.0)) -> DiameterBo
     )
 
 
-def complement_pst_condition(t0: float, n: int, tol: float = 1e-8) -> bool:
+def complement_pst_condition(t0: float, n: int) -> bool:
     """e^{-i t0 n} = 1, the condition for PST to survive complementation."""
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     if n < 2:
         raise ValueError("n must be at least 2")
     r = math.fmod(t0 * n, 2.0 * math.pi)
-    return min(abs(r), abs(2.0 * math.pi - r)) <= tol
+    return min(abs(r), abs(2.0 * math.pi - r)) <= COMPLEMENT_TOL

@@ -20,9 +20,9 @@ class DegenerateInput(ValueError):
     pass
 
 
-DEFAULT_GROUPING_TOL = 1e-8
-DEFAULT_MAX_DENOMINATOR = 10**6
-DEFAULT_RESIDUAL_TOL = 1e-9
+GROUPING_TOL = 1e-8  # relative gap below which eigenvalues share an eigenspace
+MAX_DENOMINATOR = 10**6  # largest denominator real_gcd tries for a gap ratio
+RESIDUAL_TOL = 1e-9  # noise floor of real_gcd's fractions and its reconstruction
 
 
 def _require_vertices(n: int, *vertices):
@@ -43,7 +43,6 @@ class SpectralDecomposition:
     eigenvalues: tuple
     vectors: np.ndarray = field(repr=False, compare=False)
     starts: np.ndarray = field(repr=False, compare=False)  # first column of each eigenspace
-    grouping_tol: float
 
     @property
     def n(self) -> int:
@@ -75,14 +74,12 @@ class SpectralDecomposition:
         return np.add.reduceat(v[a].conj() * v[b], self.starts)
 
 
-def decompose(h: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> SpectralDecomposition:
+def decompose(h: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, grouping near-equal eigenvalues.
 
-    Consecutive eigenvalues closer than grouping_tol * max(1, spectral radius)
+    Consecutive eigenvalues closer than GROUPING_TOL * max(1, spectral radius)
     are merged into one eigenspace.
     """
-    if grouping_tol <= 0:
-        raise ValueError("grouping_tol must be positive")
     h = np.asarray(h, dtype=complex)
     try:
         vals, vecs = np.linalg.eigh(h)
@@ -93,7 +90,7 @@ def decompose(h: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spec
         ) from exc
     lam = vals.tolist()
     scale = max(1.0, abs(lam[0]), abs(lam[-1])) if lam else 1.0
-    gap = grouping_tol * scale
+    gap = GROUPING_TOL * scale
     # an eigenspace is a run of eigenvalues whose consecutive gaps are <= gap
     bounds = [0, *(np.nonzero(~(vals[1:] - vals[:-1] <= gap))[0] + 1).tolist(), len(lam)]
     eigenvalues = tuple(
@@ -102,8 +99,7 @@ def decompose(h: np.ndarray, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spec
         for s, e in zip(bounds, bounds[1:])
     )
     # C order makes each row, vectors[v], a contiguous vector
-    return SpectralDecomposition(eigenvalues, np.ascontiguousarray(vecs),
-                                 np.array(bounds[:-1]), grouping_tol)
+    return SpectralDecomposition(eigenvalues, np.ascontiguousarray(vecs), np.array(bounds[:-1]))
 
 
 def support_components(dec: SpectralDecomposition, v: int):
@@ -204,54 +200,51 @@ class CommensurabilityResult:
     commensurable: bool
     chi: float  # largest common real divisor, when commensurable
     integers: tuple  # z_k with gcd 1
-    max_denominator: int
     residual: float
 
 
-def _rationalize(x: float, max_denominator: int, tol: float):
-    """Continued-fraction expansion of x, terminated at the noise floor tol.
+def _rationalize(x: float):
+    """Continued-fraction expansion of x, terminated at the noise floor
+    RESIDUAL_TOL.
 
     Returns (p, q) with x ~ p/q, or None when no partial quotient becomes
-    integral (to within tol) before the denominator exceeds max_denominator.
+    integral (to within RESIDUAL_TOL) before the denominator exceeds
+    MAX_DENOMINATOR.
     """
     p0, q0 = 0, 1
     p1, q1 = 1, 0
     while True:
         a = math.floor(x)
         frac = x - a
-        if frac > 1 - tol:
+        if frac > 1 - RESIDUAL_TOL:
             a += 1
             frac = 0.0
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > max_denominator:
+        if q1 > MAX_DENOMINATOR:
             return None
-        if frac <= tol:
+        if frac <= RESIDUAL_TOL:
             return p1, q1
         x = 1.0 / frac
 
 
-def real_gcd(
-    values,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> CommensurabilityResult:
+def real_gcd(values) -> CommensurabilityResult:
     """Largest chi such that every value is (nearly) an integer multiple of it.
 
-    Ratios value_k / value_0 are rationalized by continued fractions with the
-    residual tolerance as the noise floor; the verdict is negative when any
-    ratio resists rationalization at the denominator bound, or when the
-    reconstruction residual exceeds residual_tol.
+    Ratios value_k / value_0 are rationalized by continued fractions with
+    RESIDUAL_TOL as the noise floor; the verdict is negative when any ratio
+    resists rationalization below MAX_DENOMINATOR, or when the
+    reconstruction residual exceeds RESIDUAL_TOL.
     """
     values = [float(v) for v in values]
     if not values:
         raise DegenerateInput("values must be nonempty")
-    if any(v <= residual_tol for v in values):
+    if any(v <= RESIDUAL_TOL for v in values):
         raise DegenerateInput("all values must exceed the residual tolerance")
     fracs = []
     for v in values:
-        pq = _rationalize(v / values[0], max_denominator, residual_tol)
+        pq = _rationalize(v / values[0])
         if pq is None:
-            return CommensurabilityResult(False, 0.0, (), max_denominator, math.inf)
+            return CommensurabilityResult(False, 0.0, (), math.inf)
         fracs.append(Fraction(*pq))
     lcm = math.lcm(*(f.denominator for f in fracs))
     z = [int(f * lcm) for f in fracs]
@@ -260,6 +253,6 @@ def real_gcd(
     # least-squares chi, then verify the reconstruction
     chi = sum(v * zi for v, zi in zip(values, z)) / sum(zi * zi for zi in z)
     residual = max(abs(v - chi * zi) for v, zi in zip(values, z))
-    if residual > residual_tol:
-        return CommensurabilityResult(False, 0.0, (), max_denominator, residual)
-    return CommensurabilityResult(True, chi, tuple(z), max_denominator, residual)
+    if residual > RESIDUAL_TOL:
+        return CommensurabilityResult(False, 0.0, (), residual)
+    return CommensurabilityResult(True, chi, tuple(z), residual)

@@ -16,9 +16,6 @@ import numpy as np
 from .graphs import Graph, bipartite_coloring
 from .hamiltonians import is_real_hamiltonian, require_hermitian, support_graph
 from .spectral import (
-    DEFAULT_GROUPING_TOL,
-    DEFAULT_MAX_DENOMINATOR,
-    DEFAULT_RESIDUAL_TOL,
     CommensurabilityResult,
     SpectralDecomposition,
     _require_vertices,
@@ -30,12 +27,13 @@ PERFECT = "perfect"
 NO_TRANSFER = "no-transfer"
 UNDECIDED = "undecided"
 
-DEFAULT_SUPPORT_TOL = 1e-9
-DEFAULT_FIDELITY_TOL = 1e-9
-DEFAULT_WEIGHT_TOL = 1e-8
-PHASE_REALNESS_TOL = 1e-7
-DEFAULT_T_MAX = 50.0
-DEFAULT_SCAN_GRID = 10**4
+SUPPORT_TOL = 1e-9  # |P_k|v>| at or below this: eigenspace k does not support v
+WEIGHT_TOL = 1e-8  # allowed | |s_k| - 1 | and |P_k|b> - s_k P_k|a>|
+FIDELITY_TOL = 1e-9  # a fidelity of 1 - FIDELITY_TOL or more counts as perfect
+PHASE_REALNESS_TOL = 1e-7  # allowed distance of phi_k / pi from an integer
+T_MAX = 50.0  # the complex-H scan runs to T_MAX * 2 / spectral radius
+SCAN_GRID = 10**4  # grid points of that scan
+PHASE_CLASS_TOL = 1e-9  # bipartite_phase_class: largest part that must vanish
 
 
 class VertexCoincide(ValueError):
@@ -92,7 +90,7 @@ def evolve(h: np.ndarray, state: np.ndarray, t: float, dec: SpectralDecompositio
     if abs(np.linalg.norm(state) - 1.0) > 1e-10:
         raise ValueError("state must be normalized")
     if dec is None:
-        dec = decompose(h)
+        dec = decompose(require_hermitian(h))
     v = dec.vectors
     phases = np.exp(-1j * np.asarray(dec.eigenvalues) * t)[dec.column_space]
     return v @ (phases * (v.conj().T @ state))
@@ -101,7 +99,7 @@ def evolve(h: np.ndarray, state: np.ndarray, t: float, dec: SpectralDecompositio
 def fidelity(h: np.ndarray, a: int, b: int, t: float, dec: SpectralDecomposition = None):
     """(amplitude <b|e^{-iHt}|a>, its magnitude)."""
     if dec is None:
-        dec = decompose(h)
+        dec = decompose(require_hermitian(h))
     terms = np.exp(-1j * np.asarray(dec.eigenvalues) * t) * dec.pair_coefficients(a, b)
     # a running sum in spectrum order: np.sum and a BLAS product group the
     # terms by vector width, and the last bits of transfer_phase would vary with it
@@ -194,9 +192,7 @@ class WeightTest:
         return np.flatnonzero(~self.failed.any(axis=1) & (self.supported.sum(axis=1) >= 2))
 
 
-def weight_test(dec: SpectralDecomposition, a: int, targets,
-                support_tol: float = DEFAULT_SUPPORT_TOL,
-                weight_tol: float = DEFAULT_WEIGHT_TOL) -> WeightTest:
+def weight_test(dec: SpectralDecomposition, a: int, targets) -> WeightTest:
     """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for every target b at once.
 
     Works from row a of the projectors, P_k[a,b] = sum over the columns m of
@@ -212,66 +208,38 @@ def weight_test(dec: SpectralDecomposition, a: int, targets,
     va = dec.vectors[a]
     vb = dec.vectors[targets]
     sq_a = np.add.reduceat(_abs2(va), starts)
-    sup_a = sq_a > support_tol * support_tol
-    sup_b = np.add.reduceat(_abs2(vb), starts, axis=1) > support_tol * support_tol
+    sup_a = sq_a > SUPPORT_TOL * SUPPORT_TOL
+    sup_b = np.add.reduceat(_abs2(vb), starts, axis=1) > SUPPORT_TOL * SUPPORT_TOL
     s = np.add.reduceat(vb.conj() * va, starts, axis=1) / np.where(sup_a, sq_a, 1.0)
     both = sup_a & sup_b
-    off = np.abs(np.abs(s) - 1.0) > weight_tol
+    off = np.abs(np.abs(s) - 1.0) > WEIGHT_TOL
     if dec.degenerate:
         residual_sq = np.add.reduceat(_abs2(vb - s.conj()[:, dec.column_space] * va),
                                       starts, axis=1)
-        off |= residual_sq > weight_tol * weight_tol
+        off |= residual_sq > WEIGHT_TOL * WEIGHT_TOL
     return WeightTest(a, targets, both, s, (sup_a != sup_b) | (both & off))
 
 
 # -- the decision procedure ----------------------------------------------------
 
 
-def check_transfer(
-    h: np.ndarray,
-    a: int,
-    b: int,
-    grouping_tol: float = DEFAULT_GROUPING_TOL,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-    weight_tol: float = DEFAULT_WEIGHT_TOL,
-    fidelity_tol: float = DEFAULT_FIDELITY_TOL,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    t_max: float = DEFAULT_T_MAX,
-    scan_grid: int = DEFAULT_SCAN_GRID,
-) -> TransferVerdict:
+def check_transfer(h: np.ndarray, a: int, b: int) -> TransferVerdict:
     """Decide perfect state transfer from vertex a to vertex b under H."""
-    return _check(
-        h, a, b, grouping_tol, support_tol, weight_tol,
-        fidelity_tol=fidelity_tol, max_denominator=max_denominator,
-        residual_tol=residual_tol, t_max=t_max, scan_grid=scan_grid,
-    )[2]
+    return _check(h, a, b)[2]
 
 
-def _check(h, a: int, b: int, grouping_tol: float = DEFAULT_GROUPING_TOL,
-           support_tol: float = DEFAULT_SUPPORT_TOL, weight_tol: float = DEFAULT_WEIGHT_TOL,
-           **decide_kwargs):
+def _check(h, a: int, b: int):
     """check_transfer, returning (validated h, its decomposition, verdict)."""
     if a == b:
         raise VertexCoincide("source and target must differ")
     h = require_hermitian(h)
     _require_vertices(h.shape[0], a, b)
-    dec = decompose(h, grouping_tol)
-    test = weight_test(dec, a, [b], support_tol, weight_tol)
-    return h, dec, _decide(dec, is_real_hamiltonian(h), test, 0, **decide_kwargs)
+    dec = decompose(h)
+    test = weight_test(dec, a, [b])
+    return h, dec, _decide(dec, is_real_hamiltonian(h), test, 0)
 
 
-def _decide(
-    dec: SpectralDecomposition,
-    real: bool,
-    test: WeightTest,
-    j: int,
-    fidelity_tol: float = DEFAULT_FIDELITY_TOL,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    t_max: float = DEFAULT_T_MAX,
-    scan_grid: int = DEFAULT_SCAN_GRID,
-) -> TransferVerdict:
+def _decide(dec: SpectralDecomposition, real: bool, test: WeightTest, j: int) -> TransferVerdict:
     """The verdict for test.source -> test.targets[j] on one decomposition."""
     a, b = test.source, int(test.targets[j])
     k = test.mismatch(j)
@@ -287,18 +255,16 @@ def _decide(
     phases = np.angle(test.ratios[j, supported]).tolist()
 
     if real:
-        verdict = _real_phase_existence(
-            dec, supported, phases, max_denominator, residual_tol
-        )
+        verdict = _real_phase_existence(dec, supported, phases)
     else:
-        verdict = _numeric_phase_search(dec, a, b, t_max, scan_grid, fidelity_tol)
+        verdict = _numeric_phase_search(dec, a, b)
         verdict = replace(verdict, eigenphases=tuple(phases), supported=tuple(supported))
     if verdict.status != PERFECT:
         return verdict
 
     # confirm by direct evolution, independent of the symbolic path
     amp, mag = fidelity(None, a, b, verdict.t0, dec)
-    if mag < 1.0 - fidelity_tol:
+    if mag < 1.0 - FIDELITY_TOL:
         return replace(
             verdict,
             status=UNDECIDED,
@@ -308,7 +274,7 @@ def _decide(
     return replace(verdict, transfer_phase=amp / mag, fidelity_at_t0=mag)
 
 
-def _real_phase_existence(dec, supported, phases, max_denominator, residual_tol):
+def _real_phase_existence(dec, supported, phases):
     # phi_k must be 0 or pi for a real Hamiltonian
     sigma_raw = []
     for phi in phases:
@@ -321,7 +287,7 @@ def _real_phase_existence(dec, supported, phases, max_denominator, residual_tol)
         sigma_raw.append(r % 2)
     k0 = supported[0]
     gaps = [dec.eigenvalues[k] - dec.eigenvalues[k0] for k in supported[1:]]
-    res = real_gcd(gaps, max_denominator, residual_tol)
+    res = real_gcd(gaps)
     if not res.commensurable:
         return TransferVerdict(
             NO_TRANSFER,
@@ -355,22 +321,22 @@ def _real_phase_existence(dec, supported, phases, max_denominator, residual_tol)
     )
 
 
-def _numeric_phase_search(dec, a, b, t_max, scan_grid, fidelity_tol):
+def _numeric_phase_search(dec, a, b):
     """Grid scan of |<b|e^{-iHt}|a>| with Newton refinement of its peaks.
 
     Used for complex Hamiltonians, where no exact phase-existence test is
     attempted; an inconclusive scan yields UNDECIDED, not NO_TRANSFER.
     """
     radius = max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]), 1e-12)
-    horizon = t_max * 2.0 / radius if radius > 0 else t_max
-    times = np.linspace(horizon / scan_grid, horizon, scan_grid)
+    horizon = T_MAX * 2.0 / radius if radius > 0 else T_MAX
+    times = np.linspace(horizon / SCAN_GRID, horizon, SCAN_GRID)
     mags = np.abs(fidelity_curve(dec, a, b, times))
 
     # refine the near-perfect local maxima and the grid's best point; the
     # earliest perfect time wins, and the coarse cutoff accounts for grid
     # discretization error
     dt = times[1] - times[0]
-    coarse = 1.0 - max(fidelity_tol, (radius * dt) ** 2)
+    coarse = 1.0 - max(FIDELITY_TOL, (radius * dt) ** 2)
     interior = (mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:]) & (mags[1:-1] >= coarse)
     best_i = int(np.argmax(mags))
     idx = np.append(np.flatnonzero(interior) + 1, best_i)
@@ -379,7 +345,7 @@ def _numeric_phase_search(dec, a, b, t_max, scan_grid, fidelity_tol):
         times[np.maximum(idx - 1, 0)], times[np.minimum(idx + 1, len(times) - 1)],
         times[idx], maximize=True,
     )
-    perfect = np.flatnonzero(peak >= 1.0 - fidelity_tol)
+    perfect = np.flatnonzero(peak >= 1.0 - FIDELITY_TOL)
     if len(perfect):
         return TransferVerdict(PERFECT, t0=float(refined[perfect[0]]))
     best_mag = max(float(mags[best_i]), float(peak.max()))
@@ -400,19 +366,16 @@ def minimal_transfer_time(verdict: TransferVerdict) -> float:
 # -- symmetry operator ----------------------------------------------------------
 
 
-def symmetry_operator(dec: SpectralDecomposition, a: int, b: int, phases=None,
-                      support_tol: float = DEFAULT_SUPPORT_TOL,
-                      weight_tol: float = DEFAULT_WEIGHT_TOL) -> np.ndarray:
+def symmetry_operator(dec: SpectralDecomposition, a: int, b: int) -> np.ndarray:
     """S = sum_supported e^{i phi_k} P_k + sum_unsupported P_k.
 
-    Satisfies S H S^dag = H and S|a> = |b>; the free phases on unsupported
-    eigenspaces are fixed to 1.  Raises PhaseUndefined when the pair fails
-    the weight test, since no such S exists then.  phases may be supplied
-    (one per supported eigenspace, in spectrum order); otherwise they are
-    the ones the weight test finds.
+    Satisfies S H S^dag = H and S|a> = |b>; the phases phi_k are the ones the
+    weight test finds, and the free phases on unsupported eigenspaces are
+    fixed to 1.  Raises PhaseUndefined when the pair fails the weight test,
+    since no such S exists then.
     """
     _require_vertices(dec.n, a, b)
-    test = weight_test(dec, a, [b], support_tol, weight_tol)
+    test = weight_test(dec, a, [b])
     k = test.mismatch(0)
     if k is not None:
         raise PhaseUndefined(
@@ -420,7 +383,7 @@ def symmetry_operator(dec: SpectralDecomposition, a: int, b: int, phases=None,
         )
     supported = test.supported[0]
     space_phases = np.zeros(dec.num_eigenspaces)
-    space_phases[supported] = np.angle(test.ratios[0, supported]) if phases is None else phases
+    space_phases[supported] = np.angle(test.ratios[0, supported])
     vecs = dec.vectors
     return (vecs * np.exp(1j * space_phases[dec.column_space])) @ vecs.conj().T
 
@@ -428,8 +391,7 @@ def symmetry_operator(dec: SpectralDecomposition, a: int, b: int, phases=None,
 # -- bipartite amplitude classification ------------------------------------------
 
 
-def bipartite_phase_class(g: Graph, h: np.ndarray, a: int, m: int, t: float,
-                          residual_tol: float = 1e-9):
+def bipartite_phase_class(g: Graph, h: np.ndarray, a: int, m: int, t: float):
     """Classify <m|e^{-iHt}|a> as purely real or purely imaginary.
 
     For a real Hamiltonian with zero diagonal on a bipartite coupling graph:
@@ -451,9 +413,9 @@ def bipartite_phase_class(g: Graph, h: np.ndarray, a: int, m: int, t: float,
     state[a] = 1.0
     amp = evolve(h, state, t)[m]
     if col.colors[a] == col.colors[m]:
-        if abs(amp.imag) > residual_tol:
+        if abs(amp.imag) > PHASE_CLASS_TOL:
             raise AssertionError(f"expected real amplitude, got {amp}")
         return "purely-real", amp
-    if abs(amp.real) > residual_tol:
+    if abs(amp.real) > PHASE_CLASS_TOL:
         raise AssertionError(f"expected imaginary amplitude, got {amp}")
     return "purely-imaginary", amp

@@ -1,17 +1,17 @@
 import csv
-import dataclasses
-import inspect
 import json
 import math
+import re
 
 import pytest
 
-from pstlab import Config, check_transfer, encode_graph6, path_graph
+from pstlab import encode_graph6, path_graph
 from pstlab.cli import (
     EXIT_NO_TRANSFER,
     EXIT_PARSE,
     EXIT_PERFECT,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -74,12 +74,32 @@ class TestCheck:
                      "--source", "0", "--target", "2"])
         assert code == EXIT_PERFECT
 
+    @pytest.mark.parametrize("fields", [[0, 0, 0, 5], {"0": 1}, {"3": 1}],
+                             ids=["list-too-long", "string-key", "vertex-3"])
+    def test_bad_fields_are_parse_errors(self, tmp_path, capsys, fields):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({
+            "n": 3,
+            "couplings": [[0, 1, 1.0, 0.0], [1, 2, 1.0, 0.0]],
+            "fields": fields,
+        }))
+        code = main(["check", str(path), "--model", "weighted",
+                     "--source", "0", "--target", "2"])
+        assert code == EXIT_PARSE
+        assert "field vertex" in capsys.readouterr().err
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         code = main(["check", str(bad), "--source", "0", "--target", "1"])
         assert code == EXIT_PARSE
         assert "error" in capsys.readouterr().err
+
+    def test_zero_vertex_graph6_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.g6"
+        path.write_text("?\n")
+        code = main(["check", str(path), "--source", "0", "--target", "1"])
+        assert code == EXIT_PARSE
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", str(tmp_path / "nope"), "--source", "0",
@@ -259,6 +279,20 @@ class TestSearch:
             rows = list(csv.reader(fh))
         assert len(rows) == 2
 
+    def test_missing_graph6_file(self, tmp_path, capsys):
+        code = main(["search", "--graph6-file", str(tmp_path / "nope.g6"),
+                     "--out", str(tmp_path / "o.jsonl")])
+        assert code == EXIT_PARSE
+        assert "error" in capsys.readouterr().err
+
+    def test_malformed_graph6_line(self, tmp_path, capsys):
+        g6 = tmp_path / "graphs.g6"
+        g6.write_text(encode_graph6(path_graph(3)) + "\n~~~\n")
+        code = main(["search", "--graph6-file", str(g6),
+                     "--out", str(tmp_path / "o.jsonl")])
+        assert code == EXIT_PARSE
+        assert "bad graph6 line" in capsys.readouterr().err
+
     def test_requires_one_input(self, tmp_path, capsys):
         out = str(tmp_path / "o.jsonl")
         assert main(["search", "--out", out]) == EXIT_USAGE
@@ -270,25 +304,13 @@ class TestSearch:
                      "--out", str(tmp_path / "o.jsonl")]) == EXIT_USAGE
 
 
-class TestConfigPlumbing:
-    def test_env_override(self, p3_file, capsys, monkeypatch):
-        # an absurd grouping tolerance merges every eigenspace, which breaks
-        # the eigenspace-proportionality condition
-        monkeypatch.setenv("PSTLAB_GROUPING_TOL", "10")
-        code = main(["check", p3_file, "--source", "0", "--target", "2"])
-        assert code != EXIT_PERFECT
+class TestGlobalOptions:
+    def test_workers_is_the_only_option(self):
+        help_text = build_parser().format_help()
+        assert set(re.findall(r"--[a-z][a-z-]*", help_text)) == {"--help", "--workers"}
 
-    def test_flag_beats_env(self, p3_file, capsys, monkeypatch):
-        monkeypatch.setenv("PSTLAB_GROUPING_TOL", "10")
+    def test_tolerance_flags_are_usage_errors(self, p3_file, capsys):
         code = main(["--grouping-tol", "1e-8",
                      "check", p3_file, "--source", "0", "--target", "2"])
-        assert code == EXIT_PERFECT
-
-    def test_defaults_are_check_transfer_defaults(self):
-        kwargs = Config().check_kwargs()
-        params = inspect.signature(check_transfer).parameters
-        assert kwargs == {name: params[name].default for name in kwargs}
-
-    def test_unused_zero_grid_is_gone(self):
-        assert "zero_grid" not in {f.name for f in dataclasses.fields(Config)}
-        assert Config.from_env({"PSTLAB_T_MAX": "7"}).t_max == 7.0
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")

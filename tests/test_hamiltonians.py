@@ -92,6 +92,12 @@ class TestWeighted:
         assert np.array_equal(np.diag(h), [0.5, -1.0, 0.0])
         assert np.array_equal(h, h.conj().T)
 
+    @pytest.mark.parametrize("fields", [{-1: 2.0}, {3: 2.0}, {"0": 1.0}, [0.0, 0.0, 0.0, 5.0]],
+                             ids=["vertex-minus-1", "vertex-3", "string-key", "list-too-long"])
+    def test_field_vertex_out_of_range(self, fields):
+        with pytest.raises(ValueError, match="field vertex"):
+            weighted_hamiltonian(P3, {(0, 1): 1.0}, fields)
+
     def test_support_graph_recovers_edges(self):
         g = cycle_graph(5)
         h = weighted_hamiltonian(g, {e: 0.3 for e in g.edges})

@@ -76,10 +76,6 @@ class TestDecompose:
                     assert np.linalg.norm(sum(ps) - np.eye(g.n)) <= 1e-9
                     assert dec.multiplicities.sum() == g.n
 
-    def test_grouping_tol_positive(self):
-        with pytest.raises(ValueError):
-            decompose(np.eye(2), grouping_tol=0)
-
 
 class TestSupportComponents:
     def test_p3_end_vertex(self):
@@ -238,7 +234,7 @@ class TestRealGcd:
         assert res.integers == (2, 3)
 
     def test_pi_incommensurable(self):
-        res = real_gcd([1.0, math.pi], max_denominator=10**6, residual_tol=1e-9)
+        res = real_gcd([1.0, math.pi])
         assert not res.commensurable
 
     def test_golden_ratio_incommensurable(self):

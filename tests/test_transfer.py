@@ -359,6 +359,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="not Hermitian"):
             check_transfer(NON_HERMITIAN, 0, 2)
 
+    def test_evolve_and_fidelity_reject_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve(NON_HERMITIAN, basis_state(3, 0), 1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fidelity(NON_HERMITIAN, 0, 2, 1.0)
+
     @pytest.mark.parametrize("h", [
         np.ones((2, 3)),
         np.array([[0.0, np.inf], [np.inf, 0.0]]),
