@@ -31,6 +31,7 @@ from .hamiltonians import (
     check_coupling_identity_5chain,
     is_real_hamiltonian,
     laplacian_hamiltonian,
+    model_hamiltonian,
     standard_pst_chain_couplings,
     support_graph,
     weighted_hamiltonian,
@@ -55,6 +56,7 @@ from .transfer import (
     VertexCoincide,
     bipartite_phase_class,
     check_transfer,
+    decide,
     evolve,
     fidelity,
     fidelity_curve,
@@ -97,7 +99,8 @@ __all__ = [
     "EdgeNotInGraph", "NonPositiveCoupling", "adjacency_hamiltonian",
     "asymmetric_5chain_couplings", "chain_hamiltonian",
     "check_coupling_identity_5chain", "is_real_hamiltonian",
-    "laplacian_hamiltonian", "standard_pst_chain_couplings", "support_graph",
+    "laplacian_hamiltonian", "model_hamiltonian", "standard_pst_chain_couplings",
+    "support_graph",
     "weighted_hamiltonian",
     # spectral
     "CommensurabilityResult", "DegenerateInput", "EigensolverFailure",
@@ -105,7 +108,7 @@ __all__ = [
     "is_integral_spectrum", "real_gcd", "support_components",
     # transfer
     "NO_TRANSFER", "PERFECT", "UNDECIDED", "NotPerfect", "TransferVerdict",
-    "VertexCoincide", "bipartite_phase_class", "check_transfer", "evolve",
+    "VertexCoincide", "bipartite_phase_class", "check_transfer", "decide", "evolve",
     "fidelity", "fidelity_curve", "minimal_transfer_time", "symmetry_operator",
     # limits
     "DiameterBoundsReport", "RateReport", "autocorrelation_zeros",

@@ -9,27 +9,27 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import graphs as G
-from .hamiltonians import (
-    adjacency_hamiltonian,
-    laplacian_hamiltonian,
-    weighted_hamiltonian,
-)
-from .limits import laplacian_diameter_bounds, rate_report
+from .hamiltonians import MODELS, model_hamiltonian, weighted_hamiltonian
+from .limits import MOHAR_ALPHAS, laplacian_diameter_bounds, rate_report
 from .search import (
-    MODELS,
     census,
     enumerate_connected_graphs,
     read_graph6_stream,
     write_records,
     write_records_csv,
 )
-from .spectral import _require_vertices, decompose, integer_char_poly, is_integral_spectrum
+from .spectral import (
+    _require_vertices,
+    decompose,
+    integer_char_poly,
+    is_integral_spectrum,
+    require_hermitian,
+)
 from .transfer import NotPerfect, check_transfer, fidelity_curve
 
 EXIT_PERFECT = 0
@@ -104,12 +104,9 @@ def load_matrix(path: str) -> np.ndarray:
         n = len(rows)
         if any(len(r) != 2 * n for r in rows):
             raise ValueError("each row must hold 2n floats (re/im interleaved)")
-        h = np.array(
+        return require_hermitian(
             [[complex(r[2 * j], r[2 * j + 1]) for j in range(n)] for r in rows]
         )
-        if not np.allclose(h, h.conj().T, atol=0, rtol=0):
-            raise ValueError("matrix is not Hermitian")
-        return h
     except ValueError as exc:
         raise ParseFailure(f"bad CSV matrix: {exc}") from exc
 
@@ -117,10 +114,7 @@ def load_matrix(path: str) -> np.ndarray:
 def build_hamiltonian(args) -> np.ndarray:
     if args.model == "weighted":
         return load_matrix(args.input)
-    g = load_graph(args.input)
-    if args.model == "adjacency":
-        return adjacency_hamiltonian(g).astype(float)
-    return laplacian_hamiltonian(g).astype(float)
+    return model_hamiltonian(load_graph(args.input), args.model).astype(float)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -227,7 +221,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bounds(args) -> int:
     g = load_graph(args.input)
-    report = laplacian_diameter_bounds(g, tuple(args.alpha))
+    report = laplacian_diameter_bounds(g, tuple(args.alpha or MOHAR_ALPHAS))
     payload = {
         "D": report.D,
         "max_degree": report.max_degree,
@@ -238,10 +232,9 @@ def cmd_bounds(args) -> int:
         "all_satisfied": report.all_satisfied,
     }
     if args.source is not None and args.target is not None:
-        h = (laplacian_hamiltonian(g) if args.model == "laplacian"
-             else adjacency_hamiltonian(g)).astype(float)
         try:
-            rr = rate_report(h, args.source, args.target)
+            rr = rate_report(model_hamiltonian(g, args.model).astype(float),
+                             args.source, args.target)
         except NotPerfect as exc:
             payload["rate"] = {"status": exc.verdict.status, "reason": exc.verdict.reason}
         else:
@@ -322,11 +315,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--workers", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, model=True):
+    def add_io(p, models=(*MODELS, "weighted")):
         p.add_argument("input", help="JSON graph/Hamiltonian, graph6, or CSV matrix")
-        if model:
-            p.add_argument("--model", default="adjacency",
-                           choices=("adjacency", "laplacian", "weighted"))
+        p.add_argument("--model", default="adjacency", choices=models)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="decide perfect transfer")
@@ -344,7 +335,7 @@ def build_parser() -> _Parser:
     add_io(p)
 
     p = sub.add_parser("bounds", help="diameter and rate bounds")
-    add_io(p)
+    add_io(p, MODELS)
     p.add_argument("--alpha", type=float, action="append",
                    default=None, help="Mohar bound evaluation points")
     p.add_argument("--source", type=int, default=None)
@@ -374,8 +365,6 @@ def main(argv=None) -> int:
     if args.command == "product" and args.op != "complement" and args.g2 is None:
         print("error: this product needs two graphs", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "bounds" and args.alpha is None:
-        args.alpha = [2.0, math.e, 4.0]
     handler = {
         "check": cmd_check,
         "evolve": cmd_evolve,

@@ -72,7 +72,7 @@ class Graph:
         return a
 
     def is_connected(self) -> bool:
-        return diameter(self) is not None
+        return None not in _bfs(self, 0)
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)
@@ -118,38 +118,39 @@ def hypercube_graph(d: int) -> Graph:
 # -- metrics ---------------------------------------------------------------
 
 
-def distance(g: Graph, u: int, v: int):
-    """Shortest-path distance by BFS; None when u and v are disconnected."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise IndexError(f"vertex out of range for n={g.n}")
-    if u == v:
-        return 0
+def _bfs(g: Graph, u: int) -> list:
+    """Breadth-first distance from u to every vertex; None where unreachable."""
     adj = [[] for _ in range(g.n)]
     for a, b in g.edges:
         adj[a].append(b)
         adj[b].append(a)
-    dist = {u: 0}
+    dist = [None] * g.n
+    dist[u] = 0
     queue = deque([u])
     while queue:
         x = queue.popleft()
         for y in adj[x]:
-            if y not in dist:
+            if dist[y] is None:
                 dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
                 queue.append(y)
-    return None
+    return dist
+
+
+def distance(g: Graph, u: int, v: int):
+    """Shortest-path distance by BFS; None when u and v are disconnected."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise IndexError(f"vertex out of range for n={g.n}")
+    return _bfs(g, u)[v]
 
 
 def diameter(g: Graph):
     """Maximum pairwise distance; None when g is disconnected."""
     best = 0
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            d = distance(g, u, v)
-            if d is None:
-                return None
-            best = max(best, d)
+        dist = _bfs(g, u)
+        if None in dist:
+            return None
+        best = max(best, *dist)
     return best
 
 
@@ -160,30 +161,17 @@ class BipartiteColoring:
 
 
 def bipartite_coloring(g: Graph) -> BipartiteColoring:
-    """2-color by BFS; vertex 0 of each component is red.
+    """2-color by BFS depth parity; the first vertex of each component is red.
 
     valid is False exactly when some edge joins equal colors (odd cycle).
     """
-    adj = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
     color = [None] * g.n
-    valid = True
     for start in range(g.n):
-        if color[start] is not None:
-            continue
-        color[start] = "R"
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if color[y] is None:
-                    color[y] = "B" if color[x] == "R" else "R"
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    valid = False
-    return BipartiteColoring(tuple(color), valid)
+        if color[start] is None:
+            for v, d in enumerate(_bfs(g, start)):
+                if d is not None:
+                    color[v] = "RB"[d % 2]
+    return BipartiteColoring(tuple(color), all(color[u] != color[v] for u, v in g.edges))
 
 
 # -- products and combinations ----------------------------------------------

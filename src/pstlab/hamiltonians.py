@@ -33,6 +33,18 @@ def laplacian_hamiltonian(g: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
+MODELS = ("adjacency", "laplacian")  # the uniformly coupled models, by name
+
+
+def model_hamiltonian(g: Graph, model: str) -> np.ndarray:
+    """The int64 matrix of a uniformly coupled model, named as in MODELS."""
+    if model == "adjacency":
+        return adjacency_hamiltonian(g)
+    if model == "laplacian":
+        return laplacian_hamiltonian(g)
+    raise ValueError(f"unknown model {model!r}")
+
+
 def weighted_hamiltonian(g: Graph, couplings: dict, fields=None) -> np.ndarray:
     """Hermitian H1 with couplings J on the edges of g and fields B on the diagonal.
 
@@ -80,40 +92,6 @@ def support_graph(h: np.ndarray) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if h[u, v] != 0
     )
     return Graph(n, edges)
-
-
-HERMITIAN_RTOL = 1e-10
-
-
-def require_hermitian(h) -> np.ndarray:
-    """h as a complex array, once it is known to be a square, finite and
-    Hermitian matrix.
-
-    Hermiticity is tested on the real and imaginary parts, against
-    HERMITIAN_RTOL times their largest entry: a matrix built as D H D^dag
-    carries a few ulps of rounding, while eigh, reading only one triangle,
-    would silently answer for a different matrix than a genuinely
-    non-Hermitian input.
-    """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"Hamiltonian must be a square matrix, got shape {h.shape}")
-    if not np.iscomplexobj(h):
-        h = np.asarray(h, dtype=float)
-    if not np.isfinite(h).all():
-        raise ValueError("Hamiltonian has non-finite entries")
-    if h.size:
-        # the real part symmetric, the imaginary part antisymmetric
-        re = h.real
-        asym = np.abs(re - re.T).max()
-        scale = np.abs(re).max()
-        if np.iscomplexobj(h):
-            im = h.imag
-            asym = max(asym, np.abs(im + im.T).max())
-            scale = max(scale, np.abs(im).max())
-        if asym > HERMITIAN_RTOL * scale:
-            raise ValueError(f"Hamiltonian is not Hermitian (largest asymmetry {asym:.3g})")
-    return np.asarray(h, dtype=complex)
 
 
 # -- the paper-style worked chains ------------------------------------------

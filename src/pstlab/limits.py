@@ -11,27 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, diameter, distance
-from .hamiltonians import is_real_hamiltonian, require_hermitian, support_graph
-from .spectral import (
-    SpectralDecomposition,
-    _require_vertices,
-    decompose,
-    is_integral_spectrum,
-)
-from .transfer import (
-    NonRealHamiltonian,
-    NotPerfect,
-    _check,
-    _decide,
-    refine_extrema,
-    weight_test,
-)
+from .hamiltonians import laplacian_hamiltonian, support_graph
+from .spectral import _decomposition, decompose, is_integral_spectrum
+from .transfer import NonRealHamiltonian, NotPerfect, decide, refine_extrema
 
 
 ZERO_GRID = 10**4  # intervals of autocorrelation_zeros' grid on [0, t0]
 ZERO_TOL = 1e-8  # |<a|e^{-iHt}|a>| at or below this is a zero
 COMPLEMENT_TOL = 1e-8  # allowed distance of t0 * n from a multiple of 2 pi
 CEIL_TOL = 1e-9  # _safe_ceil rounds x to an integer this close
+MOHAR_ALPHAS = (2.0, math.e, 4.0)  # where laplacian_diameter_bounds evaluates the Mohar bound
 
 
 class Disconnected(ValueError):
@@ -52,8 +41,9 @@ class RateReport:
     ml_lower_bound: float  # Margolus-Levitin: (l+1) pi / (4 sum_j |J_aj|)
 
 
-def autocorrelation_zeros(h, a: int, t0: float, dec: SpectralDecomposition = None):
-    """Times t in (0, t0) with <a|e^{-iHt}|a> = 0.
+def autocorrelation_zeros(h, a: int, t0: float):
+    """Times t in (0, t0) with <a|e^{-iHt}|a> = 0; h is a matrix or its
+    SpectralDecomposition.
 
     The autocorrelation f is complex, so zeros are located as local minima of
     |f| on a grid of ZERO_GRID intervals, all refined in one refine_extrema
@@ -61,13 +51,11 @@ def autocorrelation_zeros(h, a: int, t0: float, dec: SpectralDecomposition = Non
     time to count.  A grid minimum is a candidate only where both grid
     neighbours lie above the rounding level of f, since where |f| is at that
     level (near a zero of high order, as cos^(N-1) t has at t0 = pi/2) its
-    minima are noise.  A caller that has decomposed H already passes dec, and
-    h is then not read.
+    minima are noise.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    if dec is None:
-        dec = decompose(require_hermitian(h))
+    dec = _decomposition(h)
     weights = dec.pair_coefficients(a, a).real
     lams = np.asarray(dec.eigenvalues)
     times = np.linspace(0.0, t0, ZERO_GRID + 1)
@@ -96,13 +84,14 @@ def rate_report(h, a: int, b: int) -> RateReport:
     the report.  Raises NotPerfect, carrying the verdict, when transfer from
     a to b is not decided perfect.
     """
-    h, dec, verdict = _check(h, a, b)
+    dec = decompose(h)
+    verdict = decide(dec, a, [b])[0]
     if not verdict.is_perfect:
         raise NotPerfect("rate report requires a Perfect verdict", verdict)
-    g = support_graph(h)
-    d = distance(g, a, b)
+    h = np.asarray(h)
+    d = distance(support_graph(h), a, b)
     m = dec.num_eigenspaces
-    zeros = autocorrelation_zeros(h, a, verdict.t0, dec=dec)
+    zeros = autocorrelation_zeros(dec, a, verdict.t0)
     l = len(zeros)
     coupling_sum = float(np.sum(np.abs(np.delete(h[a], a))))
     ml = (l + 1) * math.pi / (4.0 * coupling_sum)
@@ -121,21 +110,13 @@ def routing_impossibility_scan(h, a: int) -> dict:
 
     For a real Hamiltonian at most one target can exist; a second one raises
     RoutingViolation with the evidence in the message.  Each target is
-    decided as check_transfer decides it, and one decomposition and one
-    weight test serve every target.
+    decided as check_transfer decides it, on one decomposition.
     """
-    h = require_hermitian(h)
-    if not is_real_hamiltonian(h):
-        raise NonRealHamiltonian("routing scan is defined for real Hamiltonians")
-    n = h.shape[0]
-    _require_vertices(n, a)
     dec = decompose(h)
-    test = weight_test(dec, a, [c for c in range(n) if c != a])
-    found = {}
-    for j in test.passing():
-        verdict = _decide(dec, True, test, j)
-        if verdict.is_perfect:
-            found[int(test.targets[j])] = verdict.t0
+    if not dec.real:
+        raise NonRealHamiltonian("routing scan is defined for real Hamiltonians")
+    targets = [c for c in range(dec.n) if c != a]
+    found = {b: v.t0 for b, v in zip(targets, decide(dec, a, targets)) if v.is_perfect}
     if len(found) > 1:
         raise RoutingViolation(f"multiple perfect targets from {a}: {found}")
     return found
@@ -166,7 +147,7 @@ def _safe_ceil(x: float) -> int:
     return math.ceil(x)
 
 
-def laplacian_diameter_bounds(g: Graph, alphas=(2.0, math.e, 4.0)) -> DiameterBoundsReport:
+def laplacian_diameter_bounds(g: Graph, alphas=MOHAR_ALPHAS) -> DiameterBoundsReport:
     """Diameter bounds D <= 2d, D+1 <= k, and the Mohar bound at each alpha.
 
     k is the number of distinct Laplacian eigenvalues, decided exactly when
@@ -176,7 +157,7 @@ def laplacian_diameter_bounds(g: Graph, alphas=(2.0, math.e, 4.0)) -> DiameterBo
     if D is None:
         raise Disconnected("diameter bounds require a connected graph")
     d = g.max_degree()
-    lap = np.diag(g.adjacency().sum(axis=1)) - g.adjacency()
+    lap = laplacian_hamiltonian(g)
     integral, roots = is_integral_spectrum(lap)
     if integral:
         k = len(set(roots))

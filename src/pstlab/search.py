@@ -19,15 +19,14 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Graph, bipartite_coloring, distance, encode_graph6, parse_graph6
-from .hamiltonians import adjacency_hamiltonian, laplacian_hamiltonian
+from .hamiltonians import MODELS, model_hamiltonian
 from .limits import autocorrelation_zeros
 from .spectral import decompose, is_integral_spectrum
-from .transfer import _decide, weight_test
+from .transfer import UNDECIDED, decide
 
 log = logging.getLogger(__name__)
 
 MAX_ENUMERATION_N = 7
-MODELS = ("adjacency", "laplacian")
 
 
 class NTooLarge(ValueError):
@@ -174,38 +173,22 @@ class CensusResult:
     failures: list  # (graph6, error message)
 
 
-def _model_matrix(g: Graph, model: str) -> np.ndarray:
-    if model == "adjacency":
-        return adjacency_hamiltonian(g)
-    if model == "laplacian":
-        return laplacian_hamiltonian(g)
-    raise ValueError(f"unknown model {model!r}")
-
-
 def _analyze_graph(g: Graph, models) -> tuple:
     """Records and undecided pairs of one graph: one decomposition per model,
-    and the gap/parity stage only for the pairs that pass the weight test."""
+    and the fields that only a record reads only for a record."""
     records, undecided = [], []
     g6 = encode_graph6(g)
-    bip = bipartite_coloring(g).valid
-    reg = g.is_regular()
-    maxdeg = g.max_degree()
     for model in models:
-        hint = _model_matrix(g, model)
-        integral, _ = is_integral_spectrum(hint)
-        h = hint.astype(float)
-        dec = decompose(h)
+        hint = model_hamiltonian(g, model)
+        dec = decompose(hint.astype(float))
         for a in range(g.n - 1):
-            test = weight_test(dec, a, range(a + 1, g.n))
-            for j in test.passing():
-                b = int(test.targets[j])
-                verdict = _decide(dec, True, test, j)
-                if verdict.status == "undecided":
+            targets = range(a + 1, g.n)
+            for b, verdict in zip(targets, decide(dec, a, targets)):
+                if verdict.status == UNDECIDED:
                     undecided.append((g6, model, a, b, verdict.reason))
                     continue
                 if not verdict.is_perfect:
                     continue
-                zeros = autocorrelation_zeros(h, a, verdict.t0, dec=dec)
                 records.append(SearchRecord(
                     graph6=g6,
                     n=g.n,
@@ -216,11 +199,11 @@ def _analyze_graph(g: Graph, models) -> tuple:
                     transfer_phase=verdict.transfer_phase,
                     D=distance(g, a, b),
                     M=dec.num_eigenspaces,
-                    l=len(zeros),
-                    integral_spectrum=integral,
-                    bipartite=bip,
-                    regular=reg,
-                    max_degree=maxdeg,
+                    l=len(autocorrelation_zeros(dec, a, verdict.t0)),
+                    integral_spectrum=is_integral_spectrum(hint)[0],
+                    bipartite=bipartite_coloring(g).valid,
+                    regular=g.is_regular(),
+                    max_degree=g.max_degree(),
                 ))
     return records, undecided
 

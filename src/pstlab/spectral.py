@@ -20,6 +20,7 @@ class DegenerateInput(ValueError):
     pass
 
 
+HERMITIAN_RTOL = 1e-10  # largest accepted asymmetry, relative to the largest entry
 GROUPING_TOL = 1e-8  # relative gap below which eigenvalues share an eigenspace
 MAX_DENOMINATOR = 10**6  # largest denominator real_gcd tries for a gap ratio
 RESIDUAL_TOL = 1e-9  # noise floor of real_gcd's fractions and its reconstruction
@@ -37,12 +38,14 @@ class SpectralDecomposition:
     eigenvalues[k] is the (mean) eigenvalue of eigenspace k, strictly
     increasing.  vectors is the (n, n) C-ordered matrix of orthonormal
     eigenvectors, and eigenspace k is spanned by its columns starts[k] to
-    starts[k] + multiplicities[k].
+    starts[k] + multiplicities[k].  real tells whether the decomposed matrix
+    has no imaginary part.
     """
 
     eigenvalues: tuple
     vectors: np.ndarray = field(repr=False, compare=False)
     starts: np.ndarray = field(repr=False, compare=False)  # first column of each eigenspace
+    real: bool
 
     @property
     def n(self) -> int:
@@ -74,13 +77,45 @@ class SpectralDecomposition:
         return np.add.reduceat(v[a].conj() * v[b], self.starts)
 
 
-def decompose(h: np.ndarray) -> SpectralDecomposition:
+def require_hermitian(h) -> np.ndarray:
+    """h as a complex array, once it is known to be a square, finite and
+    Hermitian matrix.
+
+    Hermiticity is tested on the real and imaginary parts, against
+    HERMITIAN_RTOL times their largest entry: a matrix built as D H D^dag
+    carries a few ulps of rounding, while eigh, reading only one triangle,
+    would silently answer for a different matrix than a genuinely
+    non-Hermitian input.
+    """
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"Hamiltonian must be a square matrix, got shape {h.shape}")
+    if not np.iscomplexobj(h):
+        h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian has non-finite entries")
+    if h.size:
+        # the real part symmetric, the imaginary part antisymmetric
+        re = h.real
+        asym = np.abs(re - re.T).max()
+        scale = np.abs(re).max()
+        if np.iscomplexobj(h):
+            im = h.imag
+            asym = max(asym, np.abs(im + im.T).max())
+            scale = max(scale, np.abs(im).max())
+        if asym > HERMITIAN_RTOL * scale:
+            raise ValueError(f"Hamiltonian is not Hermitian (largest asymmetry {asym:.3g})")
+    return np.asarray(h, dtype=complex)
+
+
+def decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, grouping near-equal eigenvalues.
 
-    Consecutive eigenvalues closer than GROUPING_TOL * max(1, spectral radius)
-    are merged into one eigenspace.
+    h is validated by require_hermitian first.  Consecutive eigenvalues
+    closer than GROUPING_TOL * max(1, spectral radius) are merged into one
+    eigenspace.
     """
-    h = np.asarray(h, dtype=complex)
+    h = require_hermitian(h)
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -99,7 +134,13 @@ def decompose(h: np.ndarray) -> SpectralDecomposition:
         for s, e in zip(bounds, bounds[1:])
     )
     # C order makes each row, vectors[v], a contiguous vector
-    return SpectralDecomposition(eigenvalues, np.ascontiguousarray(vecs), np.array(bounds[:-1]))
+    return SpectralDecomposition(eigenvalues, np.ascontiguousarray(vecs), np.array(bounds[:-1]),
+                                 not h.imag.any())
+
+
+def _decomposition(h) -> SpectralDecomposition:
+    """h itself when it is a decomposition already, else decompose(h)."""
+    return h if isinstance(h, SpectralDecomposition) else decompose(h)
 
 
 def support_components(dec: SpectralDecomposition, v: int):

@@ -1,9 +1,10 @@
 """Perfect state transfer decision procedure and time evolution.
 
-check_transfer decides whether e^{-iHt0}|a> = e^{i phi}|b> is achievable for
-some t0, via the eigenspace weight/proportionality test and the integer gap
-structure of the supported spectrum.  Every positive verdict is confirmed by
-direct evolution before it is returned.
+decide tells, for one source and several targets on one decomposition,
+whether e^{-iHt0}|a> = e^{i phi}|b> is achievable for some t0, via the
+eigenspace weight/proportionality test and the integer gap structure of the
+supported spectrum; check_transfer is decide for one pair.  Every positive
+verdict is confirmed by direct evolution before it is returned.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import Graph, bipartite_coloring
-from .hamiltonians import is_real_hamiltonian, require_hermitian, support_graph
+from .hamiltonians import support_graph
 from .spectral import (
     CommensurabilityResult,
     SpectralDecomposition,
+    _decomposition,
     _require_vertices,
     decompose,
     real_gcd,
@@ -84,22 +86,21 @@ class TransferVerdict:
 # -- dynamics -----------------------------------------------------------------
 
 
-def evolve(h: np.ndarray, state: np.ndarray, t: float, dec: SpectralDecomposition = None) -> np.ndarray:
-    """e^{-iHt} |state> via the spectral decomposition."""
+def evolve(h, state: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iHt} |state>; h is a matrix or its SpectralDecomposition."""
     state = np.asarray(state, dtype=complex)
     if abs(np.linalg.norm(state) - 1.0) > 1e-10:
         raise ValueError("state must be normalized")
-    if dec is None:
-        dec = decompose(require_hermitian(h))
+    dec = _decomposition(h)
     v = dec.vectors
     phases = np.exp(-1j * np.asarray(dec.eigenvalues) * t)[dec.column_space]
     return v @ (phases * (v.conj().T @ state))
 
 
-def fidelity(h: np.ndarray, a: int, b: int, t: float, dec: SpectralDecomposition = None):
-    """(amplitude <b|e^{-iHt}|a>, its magnitude)."""
-    if dec is None:
-        dec = decompose(require_hermitian(h))
+def fidelity(h, a: int, b: int, t: float):
+    """(amplitude <b|e^{-iHt}|a>, its magnitude); h is a matrix or its
+    SpectralDecomposition."""
+    dec = _decomposition(h)
     terms = np.exp(-1j * np.asarray(dec.eigenvalues) * t) * dec.pair_coefficients(a, b)
     # a running sum in spectrum order: np.sum and a BLAS product group the
     # terms by vector width, and the last bits of transfer_phase would vary with it
@@ -166,42 +167,21 @@ def refine_extrema(lams, coeffs, lo, hi, t, maximize=False):
 # -- the eigenspace weight test -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightTest:
-    """The eigenspace weight test from one source to several targets.
-
-    Row j is about targets[j], column k about eigenspace k.  The pair passes
-    when no eigenspace supports just one of the two vertices, and on every
-    eigenspace that supports both, P_k|b> = s_k P_k|a> with |s_k| = 1.
-    """
-
-    source: int
-    targets: np.ndarray  # (t,)
-    supported: np.ndarray  # (t, M) bool: both vertices have weight on P_k
-    ratios: np.ndarray  # (t, M) s_k = P_k[a,b] / P_k[a,a], where supported
-    failed: np.ndarray  # (t, M) bool: eigenspace k fails the test
-
-    def mismatch(self, j: int):
-        """The first eigenspace failing for targets[j], or None."""
-        bad = np.flatnonzero(self.failed[j])
-        return int(bad[0]) if len(bad) else None
-
-    def passing(self) -> np.ndarray:
-        """Row indices of the targets that pass, with two or more supported
-        eigenspaces (distinct basis states cannot share just one)."""
-        return np.flatnonzero(~self.failed.any(axis=1) & (self.supported.sum(axis=1) >= 2))
-
-
-def weight_test(dec: SpectralDecomposition, a: int, targets) -> WeightTest:
+def weight_test(dec: SpectralDecomposition, a: int, targets):
     """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for every target b at once.
 
+    Returns (supported, ratios, failed), (targets x eigenspaces) arrays: both
+    vertices have weight on P_k; s_k = P_k[a,b] / P_k[a,a] where supported;
+    eigenspace k fails the test, by supporting just one of the two vertices
+    or by breaking the proportionality.
+
     Works from row a of the projectors, P_k[a,b] = sum over the columns m of
-    eigenspace k of V[a,m] conj(V[b,m]), and their diagonals P_k[b,b]:
-    s_k = P_k[a,b] / P_k[a,a].  On an eigenspace of dimension two or more,
-    |s_k| = 1 leaves P_k[b,b] > P_k[a,a] possible, so there the residual
-    |P_k|b> - s_k P_k|a>| is also bounded; it is taken from the eigenbasis
-    coordinates, since P_k[b,b] - |P_k[a,b]|^2 / P_k[a,a] would keep only
-    half the digits.  Every array is (targets x n) at most.
+    eigenspace k of V[a,m] conj(V[b,m]), and their diagonals P_k[b,b].  On an
+    eigenspace of dimension two or more, |s_k| = 1 leaves P_k[b,b] > P_k[a,a]
+    possible, so there the residual |P_k|b> - s_k P_k|a>| is also bounded; it
+    is taken from the eigenbasis coordinates, since P_k[b,b] - |P_k[a,b]|^2 /
+    P_k[a,a] would keep only half the digits.  Every array is (targets x n)
+    at most.
     """
     targets = np.asarray(targets, dtype=np.intp)
     starts = dec.starts
@@ -217,44 +197,59 @@ def weight_test(dec: SpectralDecomposition, a: int, targets) -> WeightTest:
         residual_sq = np.add.reduceat(_abs2(vb - s.conj()[:, dec.column_space] * va),
                                       starts, axis=1)
         off |= residual_sq > WEIGHT_TOL * WEIGHT_TOL
-    return WeightTest(a, targets, both, s, (sup_a != sup_b) | (both & off))
+    return both, s, (sup_a != sup_b) | (both & off)
 
 
 # -- the decision procedure ----------------------------------------------------
 
+# distinct basis states cannot live in a single eigenspace proportionally
+_SINGLE_EIGENSPACE = TransferVerdict(NO_TRANSFER, reason="weight mismatch (single eigenspace)")
 
-def check_transfer(h: np.ndarray, a: int, b: int) -> TransferVerdict:
+
+def check_transfer(h, a: int, b: int) -> TransferVerdict:
     """Decide perfect state transfer from vertex a to vertex b under H."""
-    return _check(h, a, b)[2]
+    return decide(decompose(h), a, [b])[0]
 
 
-def _check(h, a: int, b: int):
-    """check_transfer, returning (validated h, its decomposition, verdict)."""
-    if a == b:
+def decide(dec: SpectralDecomposition, a: int, targets) -> list:
+    """The verdict for a -> b, for every b in targets, on one decomposition.
+
+    One weight test serves every target; the gap/parity stage (real H) or
+    the numeric scan (complex H) runs only for the targets that pass it.
+    Targets failing it share one no-transfer verdict per first failing
+    eigenspace.  Raises VertexCoincide when a is among the targets, and
+    IndexError for a vertex outside 0..n-1.
+    """
+    targets = list(targets)
+    if a in targets:
         raise VertexCoincide("source and target must differ")
-    h = require_hermitian(h)
-    _require_vertices(h.shape[0], a, b)
-    dec = decompose(h)
-    test = weight_test(dec, a, [b])
-    return h, dec, _decide(dec, is_real_hamiltonian(h), test, 0)
+    _require_vertices(dec.n, a, *targets)
+    supported, ratios, failed = weight_test(dec, a, targets)
+    first_failed = np.where(failed.any(axis=1), failed.argmax(axis=1), -1).tolist()
+    num_supported = supported.sum(axis=1).tolist()
+    mismatch = {}  # first failing eigenspace -> its shared verdict
+    verdicts = []
+    for j, (b, k, m) in enumerate(zip(targets, first_failed, num_supported)):
+        if k >= 0:
+            verdict = mismatch.get(k)
+            if verdict is None:
+                verdict = mismatch[k] = TransferVerdict(
+                    NO_TRANSFER, reason=f"weight mismatch at eigenvalue {dec.eigenvalues[k]:.6g}")
+        elif m < 2:
+            verdict = _SINGLE_EIGENSPACE
+        else:
+            verdict = _phase_verdict(dec, a, b, supported[j], ratios[j])
+        verdicts.append(verdict)
+    return verdicts
 
 
-def _decide(dec: SpectralDecomposition, real: bool, test: WeightTest, j: int) -> TransferVerdict:
-    """The verdict for test.source -> test.targets[j] on one decomposition."""
-    a, b = test.source, int(test.targets[j])
-    k = test.mismatch(j)
-    if k is not None:
-        return TransferVerdict(
-            NO_TRANSFER,
-            reason=f"weight mismatch at eigenvalue {dec.eigenvalues[k]:.6g}",
-        )
-    supported = np.flatnonzero(test.supported[j]).tolist()
-    if len(supported) < 2:
-        # distinct basis states cannot live in a single eigenspace proportionally
-        return TransferVerdict(NO_TRANSFER, reason="weight mismatch (single eigenspace)")
-    phases = np.angle(test.ratios[j, supported]).tolist()
-
-    if real:
+def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, supported: np.ndarray,
+                   ratios: np.ndarray) -> TransferVerdict:
+    """The verdict for a pair that passes the weight test, from its rows of
+    weight_test's supported and ratios."""
+    supported = np.flatnonzero(supported).tolist()
+    phases = np.angle(ratios[supported]).tolist()
+    if dec.real:
         verdict = _real_phase_existence(dec, supported, phases)
     else:
         verdict = _numeric_phase_search(dec, a, b)
@@ -263,7 +258,7 @@ def _decide(dec: SpectralDecomposition, real: bool, test: WeightTest, j: int) ->
         return verdict
 
     # confirm by direct evolution, independent of the symbolic path
-    amp, mag = fidelity(None, a, b, verdict.t0, dec)
+    amp, mag = fidelity(dec, a, b, verdict.t0)
     if mag < 1.0 - FIDELITY_TOL:
         return replace(
             verdict,
@@ -375,15 +370,14 @@ def symmetry_operator(dec: SpectralDecomposition, a: int, b: int) -> np.ndarray:
     since no such S exists then.
     """
     _require_vertices(dec.n, a, b)
-    test = weight_test(dec, a, [b])
-    k = test.mismatch(0)
-    if k is not None:
+    supported, ratios, failed = weight_test(dec, a, [b])
+    if failed.any():
         raise PhaseUndefined(
-            f"projections not proportional at eigenvalue {dec.eigenvalues[k]:.6g}"
+            f"projections not proportional at eigenvalue {dec.eigenvalues[failed.argmax()]:.6g}"
         )
-    supported = test.supported[0]
+    supported = supported[0]
     space_phases = np.zeros(dec.num_eigenspaces)
-    space_phases[supported] = np.angle(test.ratios[0, supported])
+    space_phases[supported] = np.angle(ratios[0, supported])
     vecs = dec.vectors
     return (vecs * np.exp(1j * space_phases[dec.column_space])) @ vecs.conj().T
 
@@ -398,9 +392,10 @@ def bipartite_phase_class(g: Graph, h: np.ndarray, a: int, m: int, t: float):
     same-color targets give real amplitudes, opposite-color targets imaginary
     ones.  The classification is asserted against the computed amplitude.
     """
-    h = np.asarray(h, dtype=complex)
-    if not is_real_hamiltonian(h):
+    dec = decompose(h)
+    if not dec.real:
         raise NonRealHamiltonian("bipartite phase classification needs a real H")
+    h = np.asarray(h)
     if np.any(np.abs(np.diag(h)) > 0):
         raise NonzeroDiagonal("on-site fields must vanish")
     col = bipartite_coloring(g)
@@ -409,9 +404,9 @@ def bipartite_phase_class(g: Graph, h: np.ndarray, a: int, m: int, t: float):
     sg = support_graph(h)
     if not sg.edges <= g.edges:
         raise ValueError("Hamiltonian support exceeds the supplied graph")
-    state = np.zeros(h.shape[0], dtype=complex)
+    state = np.zeros(dec.n, dtype=complex)
     state[a] = 1.0
-    amp = evolve(h, state, t)[m]
+    amp = evolve(dec, state, t)[m]
     if col.colors[a] == col.colors[m]:
         if abs(amp.imag) > PHASE_CLASS_TOL:
             raise AssertionError(f"expected real amplitude, got {amp}")

@@ -235,7 +235,7 @@ class TestCriterion5BipartitePhases:
                 same = coloring.colors[rec.source] == coloring.colors[rec.target]
                 dec = decompose(h)
                 for t in rng.uniform(0.0, 10.0, 100):
-                    amp, _ = fidelity(h, rec.source, rec.target, float(t), dec)
+                    amp, _ = fidelity(dec, rec.source, rec.target, float(t))
                     if same:
                         assert abs(amp.imag) <= 1e-8
                     else:

@@ -3,9 +3,15 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
-from pstlab import encode_graph6, path_graph
+from pstlab import (
+    chain_hamiltonian,
+    encode_graph6,
+    path_graph,
+    standard_pst_chain_couplings,
+)
 from pstlab.cli import (
     EXIT_NO_TRANSFER,
     EXIT_PARSE,
@@ -63,6 +69,27 @@ class TestCheck:
         assert code == EXIT_PERFECT
         payload = json.loads(capsys.readouterr().out)
         assert payload["t0"] == pytest.approx(math.pi / 2, rel=1e-6)
+
+    def test_csv_matrix_hermitian_to_rounding(self, tmp_path, capsys):
+        # D H D^dag for the PST chain on 8 sites: a few ulps from Hermitian
+        n = 8
+        d = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * math.pi, n))
+        h = d[:, None] * chain_hamiltonian(standard_pst_chain_couplings(n)) * d.conj()[None, :]
+        assert np.abs(h - h.conj().T).max() > 0
+        path = tmp_path / "h.csv"
+        path.write_text("\n".join(",".join(f"{x.real!r},{x.imag!r}" for x in row.tolist())
+                                   for row in h))
+        code = main(["check", str(path), "--model", "weighted",
+                     "--source", "0", "--target", str(n - 1)])
+        assert code == EXIT_PERFECT
+
+    def test_non_hermitian_csv_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("0,0,1,0,0,0\n5,0,0,0,1,0\n0,0,1,0,0,0\n")
+        code = main(["check", str(path), "--model", "weighted",
+                     "--source", "0", "--target", "2"])
+        assert code == EXIT_PARSE
+        assert "not Hermitian" in capsys.readouterr().err
 
     def test_weighted_json_hamiltonian(self, tmp_path, capsys):
         path = tmp_path / "h.json"
@@ -214,6 +241,16 @@ class TestBounds:
         assert code == 0
         rate = json.loads(capsys.readouterr().out)["rate"]
         assert rate["status"] == "no-transfer"
+
+    def test_weighted_model_is_a_usage_error(self, p3_file, capsys):
+        code = main(["bounds", p3_file, "--model", "weighted",
+                     "--source", "0", "--target", "2"])
+        assert code == EXIT_USAGE
+
+    def test_default_alphas(self, p3_file, capsys):
+        assert main(["bounds", p3_file, "--json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["mohar"]) == [
+            "2.0", str(math.e), "4.0"]
 
     def test_custom_alpha(self, p3_file, capsys):
         code = main(["bounds", p3_file, "--alpha", "3.0", "--json"])

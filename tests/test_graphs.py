@@ -1,6 +1,7 @@
 import itertools
 
 import networkx as nx
+import pstlab.graphs
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,29 @@ class TestDiameter:
             ng = nx.Graph(list(g.edges))
             ng.add_nodes_from(range(g.n))
             assert diameter(g) == nx.diameter(ng)
+
+
+class TestBreadthFirstSearches:
+    @pytest.fixture
+    def bfs_calls(self, monkeypatch):
+        calls = [0]
+        bfs = pstlab.graphs._bfs
+
+        def counted(g, u):
+            calls[0] += 1
+            return bfs(g, u)
+
+        monkeypatch.setattr(pstlab.graphs, "_bfs", counted)
+        return calls
+
+    def test_diameter_runs_one_search_per_vertex(self, bfs_calls):
+        assert diameter(path_graph(7)) == 6
+        assert bfs_calls == [7]
+
+    def test_is_connected_runs_one_search(self, bfs_calls):
+        assert path_graph(7).is_connected()
+        assert not Graph(4, frozenset({(0, 1), (2, 3)})).is_connected()
+        assert bfs_calls == [2]
 
 
 class TestBipartite:

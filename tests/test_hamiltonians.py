@@ -15,6 +15,7 @@ from pstlab import (
     empty_graph,
     is_real_hamiltonian,
     laplacian_hamiltonian,
+    model_hamiltonian,
     path_graph,
     standard_pst_chain_couplings,
     support_graph,
@@ -58,6 +59,17 @@ class TestUniformModels:
                 lap = laplacian_hamiltonian(g)
                 assert int(np.trace(lap)) == sum(g.degrees())
                 assert int(np.trace(adjacency_hamiltonian(g))) == 0
+
+
+class TestModelHamiltonian:
+    def test_names(self):
+        g = cycle_graph(5)
+        assert np.array_equal(model_hamiltonian(g, "adjacency"), adjacency_hamiltonian(g))
+        assert np.array_equal(model_hamiltonian(g, "laplacian"), laplacian_hamiltonian(g))
+
+    def test_unknown_model(self):
+        with pytest.raises(ValueError, match="unknown model"):
+            model_hamiltonian(P3, "weighted")
 
 
 class TestWeighted:

@@ -71,11 +71,11 @@ class TestAutocorrelationValidation:
     def test_rejects_vertex_out_of_range_with_decomposition(self, a):
         # a = -1 would otherwise be vertex 1
         with pytest.raises(IndexError):
-            autocorrelation_zeros(None, a, 1.0, dec=decompose(A_K2))
+            autocorrelation_zeros(decompose(A_K2), a, 1.0)
 
     def test_shared_decomposition(self, eigh_calls):
         dec = decompose(STD5)
-        assert autocorrelation_zeros(None, 1, math.pi / 2, dec=dec) == (
+        assert autocorrelation_zeros(dec, 1, math.pi / 2) == (
             autocorrelation_zeros(STD5, 1, math.pi / 2))
         assert eigh_calls == [2]
 

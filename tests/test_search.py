@@ -162,6 +162,22 @@ class TestCensus:
             ("adjacency", 5, 6)]
         assert eigh_calls == [2]
 
+    def test_record_fields_only_for_records(self, monkeypatch):
+        import pstlab.search
+
+        calls = {"is_integral_spectrum": 0, "bipartite_coloring": 0}
+        for name in calls:
+            original = getattr(pstlab.search, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(pstlab.search, name, counted)
+        records = census(enumerate_connected_graphs(5), workers=1).records
+        assert records
+        assert calls == {"is_integral_spectrum": len(records), "bipartite_coloring": len(records)}
+
     def test_rate_bound_holds_everywhere(self):
         graphs = list(enumerate_connected_graphs(5))
         for r in census(graphs, workers=1).records:

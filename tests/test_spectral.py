@@ -16,7 +16,10 @@ from pstlab import (
     laplacian_hamiltonian,
     path_graph,
     real_gcd,
+    standard_pst_chain_couplings,
+    chain_hamiltonian,
     support_components,
+    weighted_hamiltonian,
 )
 from pstlab.graphs import bipartite_coloring
 
@@ -50,6 +53,21 @@ class TestDecompose:
         assert list(dec.multiplicities) == [3, 1]
         assert list(dec.column_space) == [0, 0, 0, 1]
         assert dec.degenerate
+
+    def test_rejects_non_hermitian(self):
+        # eigh would read one triangle and answer for another matrix
+        with pytest.raises(ValueError, match="not Hermitian"):
+            decompose(np.array([[0, 1, 0], [5, 0, 1], [0, 1, 0]], dtype=float))
+
+    def test_real_flag(self):
+        a = adjacency_hamiltonian(P3)
+        chain = chain_hamiltonian(standard_pst_chain_couplings(6))
+        d = np.exp(1j * np.arange(6))
+        assert decompose(a).real and decompose(a.astype(float)).real
+        assert decompose(a.astype(complex)).real  # complex dtype, no imaginary part
+        assert decompose(chain).real
+        assert not decompose(weighted_hamiltonian(K2, {(0, 1): 1j})).real
+        assert not decompose(d[:, None] * chain * d.conj()[None, :]).real  # gauged
 
     def test_zero_matrix(self):
         dec = decompose(np.zeros((3, 3)))

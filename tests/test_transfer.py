@@ -17,12 +17,14 @@ from pstlab import (
     chain_hamiltonian,
     check_transfer,
     complete_graph,
+    decide,
     decompose,
     evolve,
     fidelity,
     fidelity_curve,
     laplacian_hamiltonian,
     minimal_transfer_time,
+    model_hamiltonian,
     path_graph,
     symmetry_operator,
     weighted_hamiltonian,
@@ -35,6 +37,8 @@ from pstlab.transfer import (
     refine_extrema,
     weight_test,
 )
+
+from pstlab.hamiltonians import MODELS
 
 from conftest import projectors, scan_max_fidelity
 
@@ -118,7 +122,7 @@ class TestFidelity:
         for a, b in ((0, 8), (0, 4), (2, 2)):
             curve = fidelity_curve(dec, a, b, times)
             for t, want in zip(times, curve):
-                amp, mag = fidelity(h, a, b, t, dec)
+                amp, mag = fidelity(dec, a, b, t)
                 assert abs(amp - want) <= 1e-14 and mag == pytest.approx(abs(want), abs=1e-14)
 
     @pytest.mark.parametrize("a,b", [(-1, 0), (0, -1), (3, 0), (0, 3)])
@@ -417,27 +421,63 @@ class TestWeightTest:
             dec = decompose(h)
             for a in range(dec.n):
                 targets = [b for b in range(dec.n) if b != a]
-                test = weight_test(dec, a, targets)
+                supported, ratios, failed = weight_test(dec, a, targets)
+                verdicts = decide(dec, a, targets)
                 for j, b in enumerate(targets):
-                    k, supported, phases = reference_weight_test(dec, a, b)
-                    assert test.mismatch(j) == k
+                    k, sup, phases = reference_weight_test(dec, a, b)
+                    bad = np.flatnonzero(failed[j])
+                    assert (int(bad[0]) if len(bad) else None) == k
                     if k is None:
-                        assert list(np.flatnonzero(test.supported[j])) == supported
-                        unit = test.ratios[j, supported] / np.abs(test.ratios[j, supported])
+                        assert list(np.flatnonzero(supported[j])) == sup
+                        unit = ratios[j, sup] / np.abs(ratios[j, sup])
                         assert unit == pytest.approx(np.exp(1j * np.array(phases)), abs=1e-12)
-                        assert (j in test.passing()) == (len(supported) >= 2)
+                        # the gap/parity stage runs exactly for two or more supported eigenspaces
+                        single = verdicts[j].reason == "weight mismatch (single eigenspace)"
+                        assert single == (len(sup) < 2)
+                    else:
+                        assert verdicts[j].reason == (
+                            f"weight mismatch at eigenvalue {dec.eigenvalues[k]:.6g}")
 
     def test_first_mismatch_names_the_eigenvalue(self):
         # K3, eigenvalue -1: P[0,0] = P[1,1] = 2/3 but |P[0,1]| = 1/3
-        test = weight_test(decompose(A_K3), 0, [1, 2])
-        assert list(test.passing()) == []
-        assert test.mismatch(0) == test.mismatch(1) == 0
+        dec = decompose(A_K3)
+        _, _, failed = weight_test(dec, 0, [1, 2])
+        assert failed.any(axis=1).all()
+        assert failed.argmax(axis=1).tolist() == [0, 0]
         assert check_transfer(A_K3, 0, 1).reason == "weight mismatch at eigenvalue -1"
+        # the two targets failing at one eigenspace share one verdict
+        v1, v2 = decide(dec, 0, [1, 2])
+        assert v1 is v2 and v1.reason == "weight mismatch at eigenvalue -1"
 
     def test_symmetry_operator_rejects_failing_pair(self):
         h = adjacency_hamiltonian(P4).astype(float)
         with pytest.raises(PhaseUndefined):
             symmetry_operator(decompose(h), 0, 1)
+
+
+class TestDecide:
+    def test_matches_check_transfer(self, small_connected_graphs):
+        hamiltonians = [model_hamiltonian(g, model).astype(float)
+                        for n in range(2, 6) for g in small_connected_graphs[n]
+                        for model in MODELS]
+        hamiltonians.append(gauged_pst_chain(6, 4))  # complex: the numeric scan
+        for h in hamiltonians:
+            dec = decompose(h)
+            for a in range(dec.n):
+                targets = [b for b in range(dec.n) if b != a]
+                assert decide(dec, a, targets) == [check_transfer(h, a, b) for b in targets]
+        assert decide(decompose(gauged_pst_chain(6, 4)), 0, [5])[0].is_perfect
+
+    def test_bad_vertices(self):
+        dec = decompose(A_P3)
+        with pytest.raises(VertexCoincide):
+            decide(dec, 0, [2, 0])
+        for a, targets in ((0, [3]), (0, [-1]), (3, [0])):
+            with pytest.raises(IndexError):
+                decide(dec, a, targets)
+
+    def test_no_targets(self):
+        assert decide(decompose(A_P3), 0, []) == []
 
 
 def test_check_transfer_calls_eigh_once(eigh_calls):
