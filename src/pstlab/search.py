@@ -13,7 +13,7 @@ import csv
 import itertools
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -252,10 +252,7 @@ def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
 
 # -- persistence -------------------------------------------------------------------
 
-_RECORD_FIELDS = (
-    "graph6", "n", "model", "source", "target", "t0", "transfer_phase",
-    "D", "M", "l", "integral_spectrum", "bipartite", "regular", "max_degree",
-)
+_RECORD_FIELDS = tuple(f.name for f in fields(SearchRecord))
 
 
 def record_to_dict(r: SearchRecord) -> dict:
@@ -297,22 +294,12 @@ def read_records(path) -> list:
 
 def write_records_csv(records, path):
     """Spreadsheet export; the complex phase becomes two columns."""
-    fields = [f for f in _RECORD_FIELDS if f != "transfer_phase"]
-    fields[fields.index("t0") + 1:fields.index("t0") + 1] = [
-        "phase_re", "phase_im"
-    ]
+    i = _RECORD_FIELDS.index("transfer_phase")
+    columns = [*_RECORD_FIELDS[:i], "phase_re", "phase_im", *_RECORD_FIELDS[i + 1:]]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(columns)
         for r in records:
             d = record_to_dict(r)
-            re_im = d.pop("transfer_phase")
-            row = []
-            for f in fields:
-                if f == "phase_re":
-                    row.append(re_im[0])
-                elif f == "phase_im":
-                    row.append(re_im[1])
-                else:
-                    row.append(d[f])
-            writer.writerow(row)
+            d["phase_re"], d["phase_im"] = d.pop("transfer_phase")
+            writer.writerow([d[f] for f in columns])

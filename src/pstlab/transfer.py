@@ -2,9 +2,10 @@
 
 decide tells, for one source and several targets on one decomposition,
 whether e^{-iHt0}|a> = e^{i phi}|b> is achievable for some t0, via the
-eigenspace weight/proportionality test and the integer gap structure of the
-supported spectrum; check_transfer is decide for one pair.  Every positive
-verdict is confirmed by direct evolution before it is returned.
+eigenspace weight/proportionality test and one exact phase test on the
+integer gap structure of the supported spectrum, for real and complex H
+alike; check_transfer is decide for one pair.  Every positive verdict is
+confirmed by direct evolution before it is returned.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ UNDECIDED = "undecided"
 SUPPORT_TOL = 1e-9  # |P_k|v>| at or below this: eigenspace k does not support v
 WEIGHT_TOL = 1e-8  # allowed | |s_k| - 1 | and |P_k|b> - s_k P_k|a>|
 FIDELITY_TOL = 1e-9  # a fidelity of 1 - FIDELITY_TOL or more counts as perfect
-PHASE_REALNESS_TOL = 1e-7  # allowed distance of phi_k / pi from an integer
-T_MAX = 50.0  # the complex-H scan runs to T_MAX * 2 / spectral radius
-SCAN_GRID = 10**4  # grid points of that scan
+PHASE_REALNESS_TOL = 1e-7  # allowed distance of (phi_0 - phi_k) / pi from an integer
 PHASE_CLASS_TOL = 1e-9  # bipartite_phase_class: largest part that must vanish
 
 
@@ -75,7 +74,7 @@ class TransferVerdict:
     eigenphases: tuple = ()  # phi_k per supported eigenspace, spectrum order
     supported: tuple = ()  # indices of supported eigenspaces
     gap_structure: CommensurabilityResult = None
-    r: int = None  # t0 = r*pi/chi in the real case
+    r: float = None  # t0 = r*pi/chi; 1 or 2 when every (phi_0 - phi_k)/pi is an integer
     fidelity_at_t0: float = None
 
     @property
@@ -122,8 +121,8 @@ def fidelity_curve(dec: SpectralDecomposition, a: int, b: int, times: np.ndarray
 REFINE_MAX_STEPS = 100  # bisection alone narrows a bracket 2^100-fold
 
 
-def refine_extrema(lams, coeffs, lo, hi, t, maximize=False):
-    """Local minima (or maxima) of |f(t)|, f(t) = sum_k c_k e^{-i lambda_k t},
+def refine_extrema(lams, coeffs, lo, hi, t):
+    """Local minima of |f(t)|, f(t) = sum_k c_k e^{-i lambda_k t},
     one in each bracket [lo[j], hi[j]], starting from t[j].
 
     Every bracket is refined at once by Newton's method on d|f|^2/dt, whose
@@ -140,7 +139,6 @@ def refine_extrema(lams, coeffs, lo, hi, t, maximize=False):
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     t = np.array(t, dtype=float)
-    sign = -1.0 if maximize else 1.0
     active = np.arange(len(t))
     for _ in range(REFINE_MAX_STEPS):
         if not len(active):
@@ -148,9 +146,9 @@ def refine_extrema(lams, coeffs, lo, hi, t, maximize=False):
         ta = t[active]
         e = np.exp(-1j * np.outer(ta, lams))
         f, f1, f2 = e @ c0, e @ c1, e @ c2
-        # sign * d|f|^2/dt and sign * d^2|f|^2/dt^2; the extremum is a minimum of sign*|f|^2
-        g1 = 2.0 * sign * (f.real * f1.real + f.imag * f1.imag)
-        g2 = 2.0 * sign * (_abs2(f1) + f.real * f2.real + f.imag * f2.imag)
+        # d|f|^2/dt and d^2|f|^2/dt^2
+        g1 = 2.0 * (f.real * f1.real + f.imag * f1.imag)
+        g2 = 2.0 * (_abs2(f1) + f.real * f2.real + f.imag * f2.imag)
         rising = g1 > 0
         hi[active[rising]] = ta[rising]
         lo[active[~rising]] = ta[~rising]
@@ -214,11 +212,10 @@ def check_transfer(h, a: int, b: int) -> TransferVerdict:
 def decide(dec: SpectralDecomposition, a: int, targets) -> list:
     """The verdict for a -> b, for every b in targets, on one decomposition.
 
-    One weight test serves every target; the gap/parity stage (real H) or
-    the numeric scan (complex H) runs only for the targets that pass it.
-    Targets failing it share one no-transfer verdict per first failing
-    eigenspace.  Raises VertexCoincide when a is among the targets, and
-    IndexError for a vertex outside 0..n-1.
+    One weight test serves every target; the phase stage runs only for the
+    targets that pass it.  Targets failing it share one no-transfer verdict
+    per first failing eigenspace.  Raises VertexCoincide when a is among the
+    targets, and IndexError for a vertex outside 0..n-1.
     """
     targets = list(targets)
     if a in targets:
@@ -246,16 +243,38 @@ def decide(dec: SpectralDecomposition, a: int, targets) -> list:
 def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, supported: np.ndarray,
                    ratios: np.ndarray) -> TransferVerdict:
     """The verdict for a pair that passes the weight test, from its rows of
-    weight_test's supported and ratios."""
+    weight_test's supported and ratios.
+
+    With the supported gaps lambda_k - lambda_0 = z_k chi and the phase
+    differences m_k = (phi_0 - phi_k) / pi, transfer at t0 = r pi / chi needs
+    z_k r = m_k (mod 2) for every k.  When every m_k is an integer (every real
+    H, and every complex H that a diagonal gauge makes real) the parity test
+    decides it exactly, with r = 1 or 2.  Otherwise r is the one solution
+    mod 2, sum_k c_k m_k for the Bezout coefficients of the z_k, and the
+    confirmation by evolution tells whether it solves every equation.
+    """
     supported = np.flatnonzero(supported).tolist()
     phases = np.angle(ratios[supported]).tolist()
-    if dec.real:
-        verdict = _real_phase_existence(dec, supported, phases)
+    k0 = supported[0]
+    res = real_gcd([dec.eigenvalues[k] - dec.eigenvalues[k0] for k in supported[1:]])
+    m = [(phases[0] - phi) / math.pi for phi in phases[1:]]
+    integral = all(abs(mk - round(mk)) <= PHASE_REALNESS_TOL for mk in m)
+    found = dict(eigenphases=tuple(phases), supported=tuple(supported), gap_structure=res)
+    if not res.commensurable:
+        if integral:
+            return TransferVerdict(
+                NO_TRANSFER, reason="parity obstruction (no commensurable gap structure)", **found)
+        return TransferVerdict(
+            UNDECIDED, reason="incommensurable gaps with non-integral phase differences", **found)
+    if not integral:
+        r = math.fsum(c * mk for c, mk in zip(_bezout(res.integers), m)) % 2.0
+    elif all(z % 2 == round(mk) % 2 for z, mk in zip(res.integers, m)):
+        r = 1
+    elif all(round(mk) % 2 == 0 for mk in m):
+        r = 2
     else:
-        verdict = _numeric_phase_search(dec, a, b)
-        verdict = replace(verdict, eigenphases=tuple(phases), supported=tuple(supported))
-    if verdict.status != PERFECT:
-        return verdict
+        return TransferVerdict(NO_TRANSFER, reason="parity obstruction", **found)
+    verdict = TransferVerdict(PERFECT, t0=r * math.pi / res.chi, r=r, **found)
 
     # confirm by direct evolution, independent of the symbolic path
     amp, mag = fidelity(dec, a, b, verdict.t0)
@@ -269,86 +288,18 @@ def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, supported: np.nda
     return replace(verdict, transfer_phase=amp / mag, fidelity_at_t0=mag)
 
 
-def _real_phase_existence(dec, supported, phases):
-    # phi_k must be 0 or pi for a real Hamiltonian
-    sigma_raw = []
-    for phi in phases:
-        m = phi / math.pi
-        r = round(m)
-        if abs(m - r) > PHASE_REALNESS_TOL:
-            return TransferVerdict(
-                NO_TRANSFER, reason="non-real phase on real Hamiltonian"
-            )
-        sigma_raw.append(r % 2)
-    k0 = supported[0]
-    gaps = [dec.eigenvalues[k] - dec.eigenvalues[k0] for k in supported[1:]]
-    res = real_gcd(gaps)
-    if not res.commensurable:
-        return TransferVerdict(
-            NO_TRANSFER,
-            reason="parity obstruction (no commensurable gap structure)",
-            eigenphases=tuple(phases),
-            supported=tuple(supported),
-            gap_structure=res,
-        )
-    # target parity of gap k: (phi_{k0} - phi_k)/pi mod 2
-    sigma = [(sigma_raw[0] - s) % 2 for s in sigma_raw[1:]]
-    if all(z % 2 == s for z, s in zip(res.integers, sigma)):
-        r = 1
-    elif all(s == 0 for s in sigma):
-        r = 2
-    else:
-        return TransferVerdict(
-            NO_TRANSFER,
-            reason="parity obstruction",
-            eigenphases=tuple(phases),
-            supported=tuple(supported),
-            gap_structure=res,
-        )
-    t0 = r * math.pi / res.chi
-    return TransferVerdict(
-        PERFECT,
-        t0=t0,
-        eigenphases=tuple(phases),
-        supported=tuple(supported),
-        gap_structure=res,
-        r=r,
-    )
-
-
-def _numeric_phase_search(dec, a, b):
-    """Grid scan of |<b|e^{-iHt}|a>| with Newton refinement of its peaks.
-
-    Used for complex Hamiltonians, where no exact phase-existence test is
-    attempted; an inconclusive scan yields UNDECIDED, not NO_TRANSFER.
-    """
-    radius = max(abs(dec.eigenvalues[0]), abs(dec.eigenvalues[-1]), 1e-12)
-    horizon = T_MAX * 2.0 / radius if radius > 0 else T_MAX
-    times = np.linspace(horizon / SCAN_GRID, horizon, SCAN_GRID)
-    mags = np.abs(fidelity_curve(dec, a, b, times))
-
-    # refine the near-perfect local maxima and the grid's best point; the
-    # earliest perfect time wins, and the coarse cutoff accounts for grid
-    # discretization error
-    dt = times[1] - times[0]
-    coarse = 1.0 - max(FIDELITY_TOL, (radius * dt) ** 2)
-    interior = (mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:]) & (mags[1:-1] >= coarse)
-    best_i = int(np.argmax(mags))
-    idx = np.append(np.flatnonzero(interior) + 1, best_i)
-    refined, peak = refine_extrema(
-        dec.eigenvalues, dec.pair_coefficients(a, b),
-        times[np.maximum(idx - 1, 0)], times[np.minimum(idx + 1, len(times) - 1)],
-        times[idx], maximize=True,
-    )
-    perfect = np.flatnonzero(peak >= 1.0 - FIDELITY_TOL)
-    if len(perfect):
-        return TransferVerdict(PERFECT, t0=float(refined[perfect[0]]))
-    best_mag = max(float(mags[best_i]), float(peak.max()))
-    return TransferVerdict(
-        UNDECIDED,
-        reason=f"numeric scan max fidelity {best_mag:.9f} over (0, {horizon:.3g}]",
-        fidelity_at_t0=best_mag,
-    )
+def _bezout(z) -> list:
+    """Integers c with sum_k c_k z_k = gcd(z), by the extended Euclidean
+    algorithm folded over z."""
+    g, c = 0, []
+    for zk in z:
+        # u g + v zk = gcd(g, zk)
+        x, y, u0, u1, v0, v1 = g, zk, 1, 0, 0, 1
+        while y:
+            q = x // y
+            x, y, u0, u1, v0, v1 = y, x - q * y, u1, u0 - q * u1, v1, v0 - q * v1
+        g, c = x, [u0 * ci for ci in c] + [v0]
+    return c
 
 
 def minimal_transfer_time(verdict: TransferVerdict) -> float:

@@ -101,6 +101,19 @@ class TestCheck:
                      "--source", "0", "--target", "2"])
         assert code == EXIT_PERFECT
 
+    def test_gauged_path_is_no_transfer(self, tmp_path, capsys):
+        # P4 with seeded complex coupling phases: a gauge away from the real P4
+        phases = np.exp(2j * math.pi * np.random.default_rng(0).random(3))
+        path = tmp_path / "p4-gauge.json"
+        path.write_text(json.dumps({
+            "n": 4,
+            "couplings": [[i, i + 1, z.real, z.imag] for i, z in enumerate(phases)],
+        }))
+        code = main(["check", str(path), "--model", "weighted",
+                     "--source", "0", "--target", "3"])
+        assert code == EXIT_NO_TRANSFER
+        assert "parity obstruction" in capsys.readouterr().out
+
     @pytest.mark.parametrize("fields", [[0, 0, 0, 5], {"0": 1}, {"3": 1}],
                              ids=["list-too-long", "string-key", "vertex-3"])
     def test_bad_fields_are_parse_errors(self, tmp_path, capsys, fields):

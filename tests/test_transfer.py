@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from pstlab.transfer import (
     NonzeroDiagonal,
     NotBipartite,
     PhaseUndefined,
+    _bezout,
     refine_extrema,
     weight_test,
 )
@@ -171,7 +173,8 @@ class TestCheckTransfer:
             check_transfer(A_P3, 1, 1)
 
     def test_complex_hamiltonian_numeric_path(self):
-        # gauge-rotated K2 still transfers; decided by the numeric fallback
+        # gauge-rotated K2 still transfers; the gauge leaves its phase difference
+        # at pi, as for the real K2, so the parity test decides it
         h = weighted_hamiltonian(K2, {(0, 1): 1j})
         v = check_transfer(h, 0, 1)
         assert v.is_perfect
@@ -378,14 +381,54 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_transfer(h, 0, 1)
 
-    @pytest.mark.parametrize("n,seed", [(4, 1), (8, 2), (16, 3)])
+    # at N = 80 and 200, ||H|| > 64: t0 must come from the gaps, not from a search in time
+    @pytest.mark.parametrize("n,seed", [(4, 1), (8, 2), (16, 3), (80, 0), (200, 0), (200, 1),
+                                        (200, 2)])
     def test_gauged_chain_still_perfect(self, n, seed):
         h = gauged_pst_chain(n, seed)
         assert np.abs(h - h.conj().T).max() > 0  # rounding breaks exact symmetry
         v = check_transfer(h, 0, n - 1)
         assert v.is_perfect
-        # the numeric scan refines its peak to rounding
+        # the gauge leaves the phase differences integral: the parity test's t0 = pi/chi
+        assert v.r == 1
         assert v.t0 == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+def gauged_p4(seed):
+    """P4 with seeded unit-modulus couplings: a path carries no flux, so a
+    diagonal gauge makes it the real P4."""
+    h = adjacency_hamiltonian(P4).astype(complex)
+    for i, z in enumerate(np.exp(2j * math.pi * np.random.default_rng(seed).random(3))):
+        h[i, i + 1], h[i + 1, i] = z, z.conjugate()
+    return h
+
+
+def flux_triangle(flux):
+    """K3 with coupling e^{i flux} on the edge 0-1: the flux through its one cycle."""
+    h = A_K3.astype(complex)
+    h[0, 1], h[1, 0] = np.exp(1j * flux), np.exp(-1j * flux)
+    return h
+
+
+class TestPhaseStage:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gauged_p4_is_exactly_no_transfer(self, seed):
+        v = check_transfer(gauged_p4(seed), 0, 3)
+        assert v.status == "no-transfer"
+        assert "parity obstruction" in v.reason
+        assert v == replace(check_transfer(adjacency_hamiltonian(P4).astype(float), 0, 3),
+                            eigenphases=v.eigenphases)
+
+    def test_incommensurable_non_integral_is_undecided(self):
+        v = check_transfer(flux_triangle(0.3), 0, 1)
+        assert v.status == "undecided"
+        assert v.reason == "incommensurable gaps with non-integral phase differences"
+        assert not v.gap_structure.commensurable
+
+    def test_bezout_coefficients(self):
+        for z in ((1,), (1, 2), (3, 5), (6, 10, 15), (4, 9, 25, 49)):
+            c = _bezout(z)
+            assert sum(ci * zi for ci, zi in zip(c, z)) == 1
 
 
 def reference_weight_test(dec, a, b, support_tol=1e-9, weight_tol=1e-8):
@@ -460,13 +503,28 @@ class TestDecide:
         hamiltonians = [model_hamiltonian(g, model).astype(float)
                         for n in range(2, 6) for g in small_connected_graphs[n]
                         for model in MODELS]
-        hamiltonians.append(gauged_pst_chain(6, 4))  # complex: the numeric scan
+        hamiltonians.append(gauged_pst_chain(6, 4))  # complex, integral phase differences
+        hamiltonians.append(flux_triangle(math.pi / 2))  # complex, the Bezout branch
         for h in hamiltonians:
             dec = decompose(h)
             for a in range(dec.n):
                 targets = [b for b in range(dec.n) if b != a]
                 assert decide(dec, a, targets) == [check_transfer(h, a, b) for b in targets]
         assert decide(decompose(gauged_pst_chain(6, 4)), 0, [5])[0].is_perfect
+        # the flux triangle's spectrum is -sqrt3, 0, sqrt3: chi = sqrt3, z = (1, 2),
+        # and its phase differences are non-integral.  Transfer runs around the
+        # triangle at 2 pi / (3 sqrt3) (r = 2/3) and against it at twice that;
+        # the brute-force scan agrees on every pair
+        triangle = flux_triangle(math.pi / 2)
+        for a in range(3):
+            for b in set(range(3)) - {a}:
+                v = check_transfer(triangle, a, b)
+                assert v.is_perfect and v.gap_structure.integers == (1, 2)
+                r = 2 / 3 if b == (a + 1) % 3 else 4 / 3
+                assert v.r == pytest.approx(r, abs=1e-12)
+                assert v.t0 == pytest.approx(r * math.pi / math.sqrt(3), abs=1e-12)
+                t, mag = scan_max_fidelity(triangle, a, b, 1.01 * v.t0)
+                assert mag >= 1 - 1e-7 and t == pytest.approx(v.t0, abs=1e-6)
 
     def test_bad_vertices(self):
         dec = decompose(A_P3)
@@ -509,11 +567,6 @@ class TestRefineExtrema:
         assert abs(t[0] - math.pi / 2) <= 1e-12
         assert mag[0] <= 1e-12
 
-    def test_peak_of_cosine(self):
-        t, mag = refine_extrema(self.LAMS, self.COEFFS, [3.0], [3.3], [3.1], maximize=True)
-        assert abs(t[0] - math.pi) <= 1e-12
-        assert mag[0] == pytest.approx(1.0, abs=1e-15)
-
     def test_many_brackets_in_one_call(self):
         lo = np.array([1.4, 4.6, 7.8, 0.3, 2.0])
         hi = np.array([1.8, 4.8, 7.9, 0.5, 2.2])
@@ -534,8 +587,8 @@ class TestRefineExtrema:
 
 
 def test_import_does_not_load_scipy():
-    # neither importing pstlab nor refining a time, in the zero search or the
-    # numeric scan, loads scipy
+    # neither importing pstlab, nor the zero search, nor deciding a complex H
+    # loads scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = """
 import sys
