@@ -24,10 +24,9 @@ from .search import (
     write_records_csv,
 )
 from .spectral import (
+    _char_poly_and_roots,
     _require_vertices,
     decompose,
-    integer_char_poly,
-    is_integral_spectrum,
     require_hermitian,
 )
 from .transfer import NotPerfect, check_transfer, fidelity_curve
@@ -198,11 +197,10 @@ def cmd_spectrum(args) -> int:
     }
     if args.model in ("adjacency", "laplacian"):
         hint = np.asarray(np.real(h)).astype(np.int64)
-        coeffs = integer_char_poly(hint)
-        integral, roots = is_integral_spectrum(hint)
+        coeffs, roots = _char_poly_and_roots(hint)
         payload["char_poly"] = [int(c) for c in coeffs]
-        payload["integral"] = integral
-        if integral:
+        payload["integral"] = roots is not None
+        if roots is not None:
             payload["integer_roots"] = roots
     if args.json:
         print(json.dumps(payload, sort_keys=True))

@@ -108,9 +108,11 @@ def empty_graph(n: int) -> Graph:
 
 
 def hypercube_graph(d: int) -> Graph:
-    """d-fold Cartesian power of K2."""
-    g = complete_graph(2)
-    for _ in range(d - 1):
+    """d-fold Cartesian power of K2; Q0 is K1."""
+    if d < 0:
+        raise ValueError("hypercube dimension must be nonnegative")
+    g = complete_graph(1)
+    for _ in range(d):
         g = cartesian_product(g, complete_graph(2))
     return g
 

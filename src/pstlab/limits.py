@@ -151,8 +151,10 @@ def laplacian_diameter_bounds(g: Graph, alphas=MOHAR_ALPHAS) -> DiameterBoundsRe
     """Diameter bounds D <= 2d, D+1 <= k, and the Mohar bound at each alpha.
 
     k is the number of distinct Laplacian eigenvalues, decided exactly when
-    the Laplacian spectrum is integral.
+    the Laplacian spectrum is integral.  Each alpha must be finite and > 1.
     """
+    if not all(1 < alpha < math.inf for alpha in alphas):
+        raise ValueError(f"each Mohar alpha must be finite and greater than 1, got {alphas}")
     D = diameter(g)
     if D is None:
         raise Disconnected("diameter bounds require a connected graph")

@@ -78,8 +78,8 @@ class SpectralDecomposition:
 
 
 def require_hermitian(h) -> np.ndarray:
-    """h as a complex array, once it is known to be a square, finite and
-    Hermitian matrix.
+    """h as a complex array, once it is known to be a nonempty, square, finite
+    and Hermitian matrix.
 
     Hermiticity is tested on the real and imaginary parts, against
     HERMITIAN_RTOL times their largest entry: a matrix built as D H D^dag
@@ -88,23 +88,22 @@ def require_hermitian(h) -> np.ndarray:
     non-Hermitian input.
     """
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"Hamiltonian must be a square matrix, got shape {h.shape}")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
+        raise ValueError(f"Hamiltonian must be a nonempty square matrix, got shape {h.shape}")
     if not np.iscomplexobj(h):
         h = np.asarray(h, dtype=float)
     if not np.isfinite(h).all():
         raise ValueError("Hamiltonian has non-finite entries")
-    if h.size:
-        # the real part symmetric, the imaginary part antisymmetric
-        re = h.real
-        asym = np.abs(re - re.T).max()
-        scale = np.abs(re).max()
-        if np.iscomplexobj(h):
-            im = h.imag
-            asym = max(asym, np.abs(im + im.T).max())
-            scale = max(scale, np.abs(im).max())
-        if asym > HERMITIAN_RTOL * scale:
-            raise ValueError(f"Hamiltonian is not Hermitian (largest asymmetry {asym:.3g})")
+    # the real part symmetric, the imaginary part antisymmetric
+    re = h.real
+    asym = np.abs(re - re.T).max()
+    scale = np.abs(re).max()
+    if np.iscomplexobj(h):
+        im = h.imag
+        asym = max(asym, np.abs(im + im.T).max())
+        scale = max(scale, np.abs(im).max())
+    if asym > HERMITIAN_RTOL * scale:
+        raise ValueError(f"Hamiltonian is not Hermitian (largest asymmetry {asym:.3g})")
     return np.asarray(h, dtype=complex)
 
 
@@ -124,7 +123,7 @@ def decompose(h) -> SpectralDecomposition:
             f"(max |entry| {np.abs(h).max():.3e}): {exc}"
         ) from exc
     lam = vals.tolist()
-    scale = max(1.0, abs(lam[0]), abs(lam[-1])) if lam else 1.0
+    scale = max(1.0, abs(lam[0]), abs(lam[-1]))
     gap = GROUPING_TOL * scale
     # an eigenspace is a run of eigenvalues whose consecutive gaps are <= gap
     bounds = [0, *(np.nonzero(~(vals[1:] - vals[:-1] <= gap))[0] + 1).tolist(), len(lam)]
@@ -193,33 +192,29 @@ def is_integral_spectrum(h):
     """Decide exactly whether the integer matrix has all-integer eigenvalues.
 
     Returns (True, sorted integer roots with multiplicity) or (False, None).
-    Trial division of the monic characteristic polynomial by (x - r) over
-    divisors r of the trailing nonzero coefficient.
+    Every eigenvalue lies within R, the largest absolute row sum (Gershgorin),
+    so the search for integer roots makes at most 2R + 1 + n divisions by
+    (x - r): R <= n - 1 for an adjacency matrix, R <= 2(n - 1) for a Laplacian.
     """
-    coeffs = integer_char_poly(h)
+    roots = _char_poly_and_roots(h)[1]
+    return roots is not None, roots
+
+
+def _char_poly_and_roots(h):
+    """integer_char_poly(h), and its ascending integer roots or None."""
+    coeffs = quotient = integer_char_poly(h)
+    # in exact integers: a float row sum could round below a root at +-R
+    radius = max((sum(map(abs, map(int, row))) for row in np.asarray(h).tolist()), default=0)
     roots = []
-    # strip zero roots
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        roots.append(0)
-        coeffs = coeffs[1:]
-    while len(coeffs) > 1:
-        a0 = abs(coeffs[0])
-        found = None
-        for d in range(1, math.isqrt(a0) + 1):
-            if a0 % d:
-                continue
-            for r in (d, -d, a0 // d, -(a0 // d)):
-                q, rem = _synth_div(coeffs, r)
-                if rem == 0:
-                    found = (r, q)
-                    break
-            if found:
+    for r in range(-radius, radius + 1):
+        # a nonzero integer root divides the constant term
+        while len(quotient) > 1 and (r == 0 or quotient[0] % r == 0):
+            q, rem = _synth_div(quotient, r)
+            if rem:
                 break
-        if found is None:
-            return False, None
-        roots.append(found[0])
-        coeffs = found[1]
-    return True, sorted(roots)
+            roots.append(r)
+            quotient = q
+    return coeffs, roots if len(quotient) == 1 else None
 
 
 def _synth_div(coeffs, r):

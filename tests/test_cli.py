@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pstlab import (
     path_graph,
     standard_pst_chain_couplings,
 )
+from pstlab import spectral
 from pstlab.cli import (
     EXIT_NO_TRANSFER,
     EXIT_PARSE,
@@ -221,6 +223,24 @@ class TestSpectrum:
         payload = json.loads(capsys.readouterr().out)
         assert payload["eigenvalues"] == pytest.approx([0.0, 1.0, 3.0])
 
+    def test_char_poly_computed_once(self, p3_file, capsys, monkeypatch):
+        calls = [0]
+        char_poly = spectral.integer_char_poly
+
+        def counted(*args):
+            calls[0] += 1
+            return char_poly(*args)
+
+        # every pstlab module that holds the function, as it was imported
+        for module in [m for name, m in sys.modules.items() if name.startswith("pstlab")]:
+            if getattr(module, "integer_char_poly", None) is char_poly:
+                monkeypatch.setattr(module, "integer_char_poly", counted)
+        code = main(["spectrum", p3_file, "--model", "laplacian", "--json"])
+        assert code == 0 and calls == [1]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["char_poly"] == [0, 3, -4, 1]
+        assert payload["integer_roots"] == [0, 1, 3]
+
 
 class TestBounds:
     def test_p3(self, p3_file, capsys):
@@ -270,6 +290,12 @@ class TestBounds:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert list(payload["mohar"]) == ["3.0"]
+
+    @pytest.mark.parametrize("alpha", ["1", "0", "0.5", "-2", "nan", "inf"])
+    def test_bad_alpha_is_a_usage_error(self, p3_file, capsys, alpha):
+        code = main(["bounds", p3_file, "--alpha", alpha])
+        assert code == EXIT_USAGE
+        assert "finite and greater than 1" in capsys.readouterr().err
 
 
 class TestProduct:

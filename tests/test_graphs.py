@@ -178,6 +178,11 @@ class TestProducts:
             assert q.n == 2**d
             assert len(q.edges) == d * 2 ** (d - 1)
 
+    def test_hypercube_from_k1(self):
+        assert hypercube_graph(0) == K1
+        with pytest.raises(ValueError, match="nonnegative"):
+            hypercube_graph(-1)
+
     def test_product_with_k1_is_identity(self):
         for g in PRODUCT_POOL:
             assert cartesian_product(g, K1) == g

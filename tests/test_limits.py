@@ -238,6 +238,12 @@ class TestDiameterBounds:
         with pytest.raises(Disconnected):
             laplacian_diameter_bounds(Graph(4, frozenset({(0, 1), (2, 3)})))
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.5, -2.0, math.nan, math.inf])
+    def test_rejects_alpha_not_above_1(self, alpha):
+        # the Mohar bound divides by log(alpha) and takes sqrt(alpha^2 - 1)
+        with pytest.raises(ValueError, match="finite and greater than 1"):
+            laplacian_diameter_bounds(P3, (2.0, alpha))
+
 
 class TestComplementRule:
     def test_k2_fails(self):

@@ -11,6 +11,7 @@ from pstlab import (
     cartesian_product,
     complete_graph,
     decompose,
+    hypercube_graph,
     integer_char_poly,
     is_integral_spectrum,
     laplacian_hamiltonian,
@@ -21,6 +22,7 @@ from pstlab import (
     support_components,
     weighted_hamiltonian,
 )
+from pstlab import spectral
 from pstlab.graphs import bipartite_coloring
 
 from conftest import projectors
@@ -68,6 +70,11 @@ class TestDecompose:
         assert decompose(chain).real
         assert not decompose(weighted_hamiltonian(K2, {(0, 1): 1j})).real
         assert not decompose(d[:, None] * chain * d.conj()[None, :]).real  # gauged
+
+    def test_rejects_empty_matrix(self):
+        # eigh of a 0x0 matrix would give one eigenspace with eigenvalue nan
+        with pytest.raises(ValueError, match="nonempty"):
+            decompose(np.zeros((0, 0)))
 
     def test_zero_matrix(self):
         dec = decompose(np.zeros((3, 3)))
@@ -237,6 +244,50 @@ class TestIntegrality:
                         assert np.abs(vals - np.array(roots)).max() <= 1e-9
                     else:
                         assert np.abs(vals - np.round(vals)).max() > 1e-6
+
+    @pytest.mark.parametrize("mat", [
+        laplacian_hamiltonian(cartesian_product(path_graph(5), path_graph(6))),
+        adjacency_hamiltonian(hypercube_graph(5)),
+        adjacency_hamiltonian(complete_graph(8)),
+    ], ids=["P5xP6-laplacian", "Q5", "K8"])
+    def test_synthetic_divisions_within_gershgorin_window(self, mat, monkeypatch):
+        # at most one failed division per candidate r in [-R, R], one more per root
+        calls = [0]
+        synth_div = spectral._synth_div
+
+        def counted(*args):
+            calls[0] += 1
+            return synth_div(*args)
+
+        monkeypatch.setattr(spectral, "_synth_div", counted)
+        is_integral_spectrum(mat)
+        radius = int(np.abs(mat).sum(axis=1).max())
+        assert calls[0] <= 2 * radius + 1 + mat.shape[0]
+
+    @given(
+        n=st.integers(1, 6),
+        shape=st.sampled_from(["general", "symmetric", "triangular"]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_roots_rebuild_char_poly(self, n, shape, data):
+        entries = data.draw(st.lists(st.integers(-5, 5), min_size=n * n, max_size=n * n))
+        mat = np.array(entries, dtype=np.int64).reshape(n, n)
+        if shape == "symmetric":
+            mat = np.triu(mat) + np.triu(mat, 1).T
+        elif shape == "triangular":
+            mat = np.triu(mat)
+        ok, roots = is_integral_spectrum(mat)
+        if shape == "triangular":  # the eigenvalues are the diagonal
+            assert ok and roots == sorted(np.diag(mat).tolist())
+        if ok:
+            assert roots == sorted(roots)
+            product = [1]  # ascending coefficients of prod (x - r)
+            for r in roots:
+                product = [hi - r * lo for hi, lo in zip([0, *product], [*product, 0])]
+            assert product == integer_char_poly(mat)
+        else:
+            assert roots is None
 
 
 class TestRealGcd:
