@@ -14,7 +14,6 @@ from .graphs import (
     cycle_graph,
     diameter,
     distance,
-    empty_graph,
     encode_graph6,
     hypercube_graph,
     join,
@@ -29,7 +28,6 @@ from .hamiltonians import (
     asymmetric_5chain_couplings,
     chain_hamiltonian,
     check_coupling_identity_5chain,
-    is_real_hamiltonian,
     laplacian_hamiltonian,
     model_hamiltonian,
     standard_pst_chain_couplings,
@@ -45,7 +43,6 @@ from .spectral import (
     integer_char_poly,
     is_integral_spectrum,
     real_gcd,
-    support_components,
 )
 from .transfer import (
     NO_TRANSFER,
@@ -60,7 +57,6 @@ from .transfer import (
     evolve,
     fidelity,
     fidelity_curve,
-    minimal_transfer_time,
     symmetry_operator,
 )
 from .limits import (
@@ -93,23 +89,22 @@ __all__ = [
     # graphs
     "BipartiteColoring", "Graph", "MalformedGraph6", "bipartite_coloring",
     "cartesian_product", "complement", "complete_graph", "conjunction",
-    "cycle_graph", "diameter", "distance", "empty_graph", "encode_graph6",
+    "cycle_graph", "diameter", "distance", "encode_graph6",
     "hypercube_graph", "join", "parse_graph6", "path_graph", "strong_product",
     # hamiltonians
     "EdgeNotInGraph", "NonPositiveCoupling", "adjacency_hamiltonian",
     "asymmetric_5chain_couplings", "chain_hamiltonian",
-    "check_coupling_identity_5chain", "is_real_hamiltonian",
-    "laplacian_hamiltonian", "model_hamiltonian", "standard_pst_chain_couplings",
-    "support_graph",
+    "check_coupling_identity_5chain", "laplacian_hamiltonian",
+    "model_hamiltonian", "standard_pst_chain_couplings", "support_graph",
     "weighted_hamiltonian",
     # spectral
     "CommensurabilityResult", "DegenerateInput", "EigensolverFailure",
     "SpectralDecomposition", "decompose", "integer_char_poly",
-    "is_integral_spectrum", "real_gcd", "support_components",
+    "is_integral_spectrum", "real_gcd",
     # transfer
     "NO_TRANSFER", "PERFECT", "UNDECIDED", "NotPerfect", "TransferVerdict",
     "VertexCoincide", "bipartite_phase_class", "check_transfer", "decide", "evolve",
-    "fidelity", "fidelity_curve", "minimal_transfer_time", "symmetry_operator",
+    "fidelity", "fidelity_curve", "symmetry_operator",
     # limits
     "DiameterBoundsReport", "RateReport", "autocorrelation_zeros",
     "complement_pst_condition", "laplacian_diameter_bounds", "rate_report",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -167,8 +168,8 @@ def cmd_evolve(args) -> int:
     except ValueError:
         print("error: --times expects start:end:steps", file=sys.stderr)
         return EXIT_USAGE
-    if steps < 2 or end < start:
-        print("error: need steps >= 2 and end >= start", file=sys.stderr)
+    if not (math.isfinite(start) and math.isfinite(end)) or steps < 2 or end < start:
+        print("error: need finite start and end, steps >= 2 and end >= start", file=sys.stderr)
         return EXIT_USAGE
     _require_vertices(h.shape[0], args.source)
     dec = decompose(h)
@@ -218,6 +219,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if (args.source is None) != (args.target is None):
+        print("error: give both --source and --target, or neither", file=sys.stderr)
+        return EXIT_USAGE
     g = load_graph(args.input)
     report = laplacian_diameter_bounds(g, tuple(args.alpha or MOHAR_ALPHAS))
     payload = {
@@ -229,7 +233,7 @@ def cmd_bounds(args) -> int:
         "mohar": {str(a): b for a, b in report.mohar.items()},
         "all_satisfied": report.all_satisfied,
     }
-    if args.source is not None and args.target is not None:
+    if args.source is not None:
         try:
             rr = rate_report(model_hamiltonian(g, args.model).astype(float),
                              args.source, args.target)
@@ -316,10 +320,10 @@ def build_parser() -> _Parser:
     def add_io(p, models=(*MODELS, "weighted")):
         p.add_argument("input", help="JSON graph/Hamiltonian, graph6, or CSV matrix")
         p.add_argument("--model", default="adjacency", choices=models)
-        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="decide perfect transfer")
     add_io(p)
+    p.add_argument("--json", action="store_true")
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
 
@@ -331,9 +335,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="eigenvalues and integrality")
     add_io(p)
+    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("bounds", help="diameter and rate bounds")
     add_io(p, MODELS)
+    p.add_argument("--json", action="store_true")
     p.add_argument("--alpha", type=float, action="append",
                    default=None, help="Mohar bound evaluation points")
     p.add_argument("--source", type=int, default=None)

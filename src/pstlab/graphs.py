@@ -43,14 +43,6 @@ class Graph:
 
     # -- basic accessors ---------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
-
-    def neighbors(self, v: int) -> list:
-        return sorted(
-            (b if a == v else a) for a, b in self.edges if v in (a, b)
-        )
-
     def degrees(self) -> list:
         d = [0] * self.n
         for u, v in self.edges:
@@ -101,10 +93,6 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
 
 
 def hypercube_graph(d: int) -> Graph:

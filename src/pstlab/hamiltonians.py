@@ -80,10 +80,6 @@ def chain_hamiltonian(couplings, fields=None) -> np.ndarray:
     return weighted_hamiltonian(g, cmap, fields)
 
 
-def is_real_hamiltonian(h: np.ndarray) -> bool:
-    return bool(np.all(np.imag(np.asarray(h, dtype=complex)) == 0))
-
-
 def support_graph(h: np.ndarray) -> Graph:
     """Graph with an edge wherever the off-diagonal coupling is nonzero."""
     h = np.asarray(h)

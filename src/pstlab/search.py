@@ -223,15 +223,18 @@ def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
 
     Per-graph failures are logged and skipped; the record list is stably
     sorted by (graph6, model, source, target) so repeated runs are
-    byte-identical when serialized.
+    byte-identical when serialized.  workers defaults to the CPU count;
+    fewer than 1 raises ValueError.
     """
-    graphs = list(graphs)
-    models = tuple(models)
-    result = CensusResult([], [], [])
     if workers is None:
         import os
 
         workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    graphs = list(graphs)
+    models = tuple(models)
+    result = CensusResult([], [], [])
     if workers > 1 and len(graphs) > 8:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -142,15 +142,6 @@ def _decomposition(h) -> SpectralDecomposition:
     return h if isinstance(h, SpectralDecomposition) else decompose(h)
 
 
-def support_components(dec: SpectralDecomposition, v: int):
-    """Per eigenspace: (index, projection of |v>, norm of the projection)."""
-    _require_vertices(dec.n, v)
-    # column k is P_k|v> = sum over the columns m of eigenspace k of V[:,m] conj(V[v,m])
-    proj = np.add.reduceat(dec.vectors * dec.vectors[v].conj(), dec.starts, axis=1)
-    return list(zip(range(dec.num_eigenspaces), proj.T,
-                    np.linalg.norm(proj, axis=0).tolist()))
-
-
 # -- exact integer characteristic polynomial ---------------------------------
 
 
@@ -236,7 +227,6 @@ class CommensurabilityResult:
     commensurable: bool
     chi: float  # largest common real divisor, when commensurable
     integers: tuple  # z_k with gcd 1
-    residual: float
 
 
 def _rationalize(x: float):
@@ -280,7 +270,7 @@ def real_gcd(values) -> CommensurabilityResult:
     for v in values:
         pq = _rationalize(v / values[0])
         if pq is None:
-            return CommensurabilityResult(False, 0.0, (), math.inf)
+            return CommensurabilityResult(False, 0.0, ())
         fracs.append(Fraction(*pq))
     lcm = math.lcm(*(f.denominator for f in fracs))
     z = [int(f * lcm) for f in fracs]
@@ -288,7 +278,6 @@ def real_gcd(values) -> CommensurabilityResult:
     z = [zi // g for zi in z]
     # least-squares chi, then verify the reconstruction
     chi = sum(v * zi for v, zi in zip(values, z)) / sum(zi * zi for zi in z)
-    residual = max(abs(v - chi * zi) for v, zi in zip(values, z))
-    if residual > RESIDUAL_TOL:
-        return CommensurabilityResult(False, 0.0, (), residual)
-    return CommensurabilityResult(True, chi, tuple(z), residual)
+    if max(abs(v - chi * zi) for v, zi in zip(values, z)) > RESIDUAL_TOL:
+        return CommensurabilityResult(False, 0.0, ())
+    return CommensurabilityResult(True, chi, tuple(z))

@@ -72,7 +72,6 @@ class TransferVerdict:
     t0: float = None
     transfer_phase: complex = None  # e^{i phi}, unit modulus
     eigenphases: tuple = ()  # phi_k per supported eigenspace, spectrum order
-    supported: tuple = ()  # indices of supported eigenspaces
     gap_structure: CommensurabilityResult = None
     r: float = None  # t0 = r*pi/chi; 1 or 2 when every (phi_0 - phi_k)/pi is an integer
     fidelity_at_t0: float = None
@@ -259,7 +258,7 @@ def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, supported: np.nda
     res = real_gcd([dec.eigenvalues[k] - dec.eigenvalues[k0] for k in supported[1:]])
     m = [(phases[0] - phi) / math.pi for phi in phases[1:]]
     integral = all(abs(mk - round(mk)) <= PHASE_REALNESS_TOL for mk in m)
-    found = dict(eigenphases=tuple(phases), supported=tuple(supported), gap_structure=res)
+    found = dict(eigenphases=tuple(phases), gap_structure=res)
     if not res.commensurable:
         if integral:
             return TransferVerdict(
@@ -300,13 +299,6 @@ def _bezout(z) -> list:
             x, y, u0, u1, v0, v1 = y, x - q * y, u1, u0 - q * u1, v1, v0 - q * v1
         g, c = x, [u0 * ci for ci in c] + [v0]
     return c
-
-
-def minimal_transfer_time(verdict: TransferVerdict) -> float:
-    """r * pi / chi for a Perfect verdict."""
-    if not verdict.is_perfect:
-        raise NotPerfect("verdict is not Perfect", verdict)
-    return verdict.t0
 
 
 # -- symmetry operator ----------------------------------------------------------

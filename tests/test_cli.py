@@ -198,6 +198,20 @@ class TestEvolve:
         assert main(["evolve", p3_file, "--source", "0",
                      "--times", "3:0:10"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("times", ["0:inf:3", "0:nan:3", "nan:1:3", "inf:inf:3"])
+    def test_non_finite_times(self, p3_file, capsys, times):
+        # rejected before any output: no nan rows, no numpy warnings
+        assert main(["evolve", p3_file, "--source", "0", "--times", times]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: need finite start and end")
+
+    def test_json_is_a_usage_error(self, p3_file, capsys):
+        # evolve writes only CSV
+        assert main(["evolve", p3_file, "--source", "0", "--times", "0:1:5",
+                     "--json"]) == EXIT_USAGE
+        assert "--json" in capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_p3_json(self, p3_file, capsys):
@@ -274,6 +288,13 @@ class TestBounds:
         assert code == 0
         rate = json.loads(capsys.readouterr().out)["rate"]
         assert rate["status"] == "no-transfer"
+
+    @pytest.mark.parametrize("given", [["--source", "0"], ["--target", "2"]])
+    def test_source_without_target_is_a_usage_error(self, p3_file, capsys, given):
+        assert main(["bounds", p3_file, *given, "--json"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "both --source and --target" in err
 
     def test_weighted_model_is_a_usage_error(self, p3_file, capsys):
         code = main(["bounds", p3_file, "--model", "weighted",
@@ -378,6 +399,14 @@ class TestSearch:
     def test_unknown_model(self, tmp_path, capsys):
         assert main(["search", "--n", "3", "--models", "xuv",
                      "--out", str(tmp_path / "o.jsonl")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_is_a_usage_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "o.jsonl"
+        assert main(["--workers", workers, "search", "--n", "3",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGlobalOptions:

@@ -117,6 +117,11 @@ class TestCensus:
             assert r.D == 1 and r.M == 2 and r.l == 0
             assert r.integral_spectrum and r.bipartite and r.regular
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            census([complete_graph(2)], workers=workers)
+
     def test_k3_no_records(self):
         result = census([complete_graph(3)], workers=1)
         assert result.records == [] and result.undecided == []

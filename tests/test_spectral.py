@@ -19,7 +19,6 @@ from pstlab import (
     real_gcd,
     standard_pst_chain_couplings,
     chain_hamiltonian,
-    support_components,
     weighted_hamiltonian,
 )
 from pstlab import spectral
@@ -103,41 +102,29 @@ class TestDecompose:
 
 
 class TestSupportComponents:
+    # |P_k v|^2 = P_k[v,v], the diagonal pair coefficient
     def test_p3_end_vertex(self):
         dec = decompose(adjacency_hamiltonian(P3).astype(float))
-        norms_sq = [nrm**2 for _, _, nrm in support_components(dec, 0)]
+        norms_sq = dec.pair_coefficients(0, 0).real
         assert norms_sq == pytest.approx([0.25, 0.5, 0.25], abs=1e-12)
 
     def test_k3_vertex(self):
         dec = decompose(adjacency_hamiltonian(K3).astype(float))
-        norms_sq = [nrm**2 for _, _, nrm in support_components(dec, 0)]
+        norms_sq = dec.pair_coefficients(0, 0).real
         assert norms_sq == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
     def test_completeness(self, small_connected_graphs):
         for g in small_connected_graphs[5]:
             dec = decompose(adjacency_hamiltonian(g).astype(float))
             for v in range(g.n):
-                total = sum(nrm**2 for _, _, nrm in support_components(dec, v))
+                total = dec.pair_coefficients(v, v).real.sum()
                 assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_projections_match_projectors(self):
-        for mat in (adjacency_hamiltonian(K3), adjacency_hamiltonian(complete_graph(4)),
-                    laplacian_hamiltonian(cartesian_product(P3, P3))):
-            dec = decompose(mat.astype(float))
-            ps = projectors(dec)
-            for v in range(dec.n):
-                comps = support_components(dec, v)
-                assert [k for k, _, _ in comps] == list(range(dec.num_eigenspaces))
-                for k, proj, nrm in comps:
-                    assert proj.shape == (dec.n,)
-                    assert np.abs(proj - ps[k][:, v]).max() <= 1e-12
-                    assert nrm == pytest.approx(np.linalg.norm(ps[k][:, v]), abs=1e-12)
 
     def test_vertex_range(self):
         dec = decompose(np.eye(2))
         for v in (2, -1):
             with pytest.raises(IndexError):
-                support_components(dec, v)
+                dec.pair_coefficients(v, v)
 
 
 def reference_char_poly(h):

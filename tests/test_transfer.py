@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pstlab import (
-    NotPerfect,
     VertexCoincide,
     adjacency_hamiltonian,
     asymmetric_5chain_couplings,
@@ -24,7 +23,6 @@ from pstlab import (
     fidelity,
     fidelity_curve,
     laplacian_hamiltonian,
-    minimal_transfer_time,
     model_hamiltonian,
     path_graph,
     symmetry_operator,
@@ -184,20 +182,16 @@ class TestCheckTransfer:
 class TestMinimalTransferTime:
     def test_p3(self):
         v = check_transfer(A_P3, 0, 2)
-        assert minimal_transfer_time(v) == pytest.approx(math.pi / math.sqrt(2))
+        assert v.t0 == pytest.approx(math.pi / math.sqrt(2))
 
     def test_k2_adjacency(self):
         v = check_transfer(A_K2, 0, 1)
         assert v.gap_structure.integers == (1,) and v.r == 1
-        assert minimal_transfer_time(v) == pytest.approx(math.pi / 2)
+        assert v.t0 == pytest.approx(math.pi / 2)
 
     def test_k2_laplacian(self):
         v = check_transfer(L_K2, 0, 1)
-        assert minimal_transfer_time(v) == pytest.approx(math.pi / 2)
-
-    def test_rejects_non_perfect(self):
-        with pytest.raises(NotPerfect):
-            minimal_transfer_time(check_transfer(A_K3, 0, 1))
+        assert v.t0 == pytest.approx(math.pi / 2)
 
 
 class TestSymmetryOperator:
