@@ -1,7 +1,8 @@
 """Command-line interface: check, evolve, spectrum, bounds, product, search.
 
 Exit codes: 0 perfect transfer, 1 no transfer, 2 undecided, 64 usage error,
-65 input parse error, 70 internal failure.  Errors go to stderr only.
+65 input parse error, 70 internal failure, 141 standard output closed early
+(128 + SIGPIPE, as for `pstlab evolve ... | head`).  Errors go to stderr only.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -330,7 +332,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evolve", help="fidelity curve CSV")
     add_io(p)
     p.add_argument("--source", type=int, required=True)
-    p.add_argument("--times", required=True, help="start:end:steps")
+    p.add_argument("--times", required=True,
+                   help="start:end:steps; write --times=START:END:STEPS when START is negative")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("spectrum", help="eigenvalues and integrality")
@@ -385,6 +388,12 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader went away (`| head`): no error to report.  Point stdout
+        # at devnull, so that the flush at interpreter exit cannot fail too,
+        # and exit as a shell reports a process ended by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

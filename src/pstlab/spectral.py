@@ -39,7 +39,8 @@ class SpectralDecomposition:
     increasing.  vectors is the (n, n) C-ordered matrix of orthonormal
     eigenvectors, and eigenspace k is spanned by its columns starts[k] to
     starts[k] + multiplicities[k].  real tells whether the decomposed matrix
-    has no imaginary part.
+    has no imaginary part; then it was decomposed by the real symmetric
+    solver, and vectors is float64, else complex128.
     """
 
     eigenvalues: tuple
@@ -78,8 +79,8 @@ class SpectralDecomposition:
 
 
 def require_hermitian(h) -> np.ndarray:
-    """h as a complex array, once it is known to be a nonempty, square, finite
-    and Hermitian matrix.
+    """h as a float64 array, or a complex128 one when its dtype is complex,
+    once it is known to be a nonempty, square, finite and Hermitian matrix.
 
     Hermiticity is tested on the real and imaginary parts, against
     HERMITIAN_RTOL times their largest entry: a matrix built as D H D^dag
@@ -90,8 +91,7 @@ def require_hermitian(h) -> np.ndarray:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
         raise ValueError(f"Hamiltonian must be a nonempty square matrix, got shape {h.shape}")
-    if not np.iscomplexobj(h):
-        h = np.asarray(h, dtype=float)
+    h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if not np.isfinite(h).all():
         raise ValueError("Hamiltonian has non-finite entries")
     # the real part symmetric, the imaginary part antisymmetric
@@ -104,19 +104,21 @@ def require_hermitian(h) -> np.ndarray:
         scale = max(scale, np.abs(im).max())
     if asym > HERMITIAN_RTOL * scale:
         raise ValueError(f"Hamiltonian is not Hermitian (largest asymmetry {asym:.3g})")
-    return np.asarray(h, dtype=complex)
+    return h
 
 
 def decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, grouping near-equal eigenvalues.
 
-    h is validated by require_hermitian first.  Consecutive eigenvalues
-    closer than GROUPING_TOL * max(1, spectral radius) are merged into one
-    eigenspace.
+    h is validated by require_hermitian first.  An h without imaginary part,
+    of either dtype, goes to the real symmetric solver, and its eigenvectors
+    are float64.  Consecutive eigenvalues closer than
+    GROUPING_TOL * max(1, spectral radius) are merged into one eigenspace.
     """
     h = require_hermitian(h)
+    real = not h.imag.any()
     try:
-        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = np.linalg.eigh(h.real if real else h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(
             f"eigh failed on {h.shape[0]}x{h.shape[0]} matrix "
@@ -134,7 +136,7 @@ def decompose(h) -> SpectralDecomposition:
     )
     # C order makes each row, vectors[v], a contiguous vector
     return SpectralDecomposition(eigenvalues, np.ascontiguousarray(vecs), np.array(bounds[:-1]),
-                                 not h.imag.any())
+                                 real)
 
 
 def _decomposition(h) -> SpectralDecomposition:

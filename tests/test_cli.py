@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +208,32 @@ class TestEvolve:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: need finite start and end")
+
+    def test_negative_start_needs_equals_form(self, p3_file, capsys):
+        # argparse reads "-1:2:3" after a space as an option, not a value
+        assert main(["evolve", p3_file, "--source", "0", "--times", "-1:2:3"]) == EXIT_USAGE
+        capsys.readouterr()
+        assert main(["evolve", p3_file, "--source", "0", "--times=-1:2:3"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 3 * 3  # 3 times x 3 targets
+        assert [float(r["time"]) for r in rows[:3]] == [-1.0, 0.5, 2.0]
+
+    def test_closed_stdout_exits_141_quietly(self, p3_file):
+        # the reader stops after two lines, as `| head -2` does, while evolve
+        # still has about 2 MB of rows to write
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pstlab.cli", "evolve", p3_file, "--source", "0",
+             "--times=0:2000:20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert head[0].startswith(b"time,target,re,im,magnitude")
+        assert err == b""
 
     def test_json_is_a_usage_error(self, p3_file, capsys):
         # evolve writes only CSV

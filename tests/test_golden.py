@@ -13,7 +13,7 @@ import pytest
 from pstlab import census, hypercube_graph, path_graph, write_records
 from pstlab.cli import EXIT_PERFECT, main
 
-CENSUS_N6_SHA256 = "439c2dd08abd4a837b6139d4b2e0a6f9842eeda7a9132fb3b6383a4791d0ef6b"
+CENSUS_N6_SHA256 = "2ebe9869f36e1b3d6bead0365f64ae7ba65905cefa986ea099e99218f6c3f1c7"
 
 P3_CHECK_JSON = (
     '{"chi": 1.414213562373095, "eigenphases": [0.0, 3.141592653589793, 0.0], '
@@ -23,9 +23,9 @@ P3_CHECK_JSON = (
 
 Q3_CHECK_JSON = (
     '{"chi": 2.0000000000000004, "eigenphases": [3.141592653589793, 0.0, '
-    '3.141592653589793, 0.0], "fidelity_at_t0": 1.0, "r": 1, "reason": "", '
-    '"status": "perfect", "t0": 1.5707963267948961, '
-    '"transfer_phase": [-3.6082248300317553e-16, 1.0], "z": [1, 2, 3]}'
+    '3.141592653589793, 0.0], "fidelity_at_t0": 1.0000000000000002, "r": 1, '
+    '"reason": "", "status": "perfect", "t0": 1.5707963267948961, '
+    '"transfer_phase": [2.775557561562897e-16, 1.0], "z": [1, 2, 3]}'
 )
 
 

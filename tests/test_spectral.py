@@ -70,6 +70,25 @@ class TestDecompose:
         assert not decompose(weighted_hamiltonian(K2, {(0, 1): 1j})).real
         assert not decompose(d[:, None] * chain * d.conj()[None, :]).real  # gauged
 
+    def test_real_h_reaches_the_real_solver(self, monkeypatch):
+        # float, integer, and complex dtype with a zero imaginary part all
+        # go to the real symmetric eigh; only the gauged chain is complex
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(h, *args, **kwargs):
+            seen.append(h.dtype)
+            return eigh(h, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        a = adjacency_hamiltonian(P3)
+        chain = chain_hamiltonian(standard_pst_chain_couplings(6))
+        d = np.exp(1j * np.arange(6))
+        decs = [decompose(h) for h in (a, a.astype(float), a.astype(complex), chain,
+                                       d[:, None] * chain * d.conj()[None, :])]
+        assert seen == [np.float64] * 4 + [np.complex128]
+        assert [dec.vectors.dtype for dec in decs] == seen
+
     def test_rejects_empty_matrix(self):
         # eigh of a 0x0 matrix would give one eigenspace with eigenvalue nan
         with pytest.raises(ValueError, match="nonempty"):

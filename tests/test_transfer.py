@@ -179,6 +179,30 @@ class TestCheckTransfer:
         assert v.fidelity_at_t0 >= 1 - 1e-9
 
 
+def test_real_and_complex_arithmetic_agree(small_connected_graphs):
+    # H goes to the real symmetric solver and a seeded diagonal gauge D H D^dag
+    # to the complex Hermitian one.  The gauge multiplies <b|e^{-iHt}|a> by
+    # d_b conj(d_a) and changes nothing else, so every verdict must match.
+    rng = np.random.default_rng(12)
+    for n in range(2, 7):
+        for g in small_connected_graphs[n]:
+            d = np.exp(2j * math.pi * rng.random(n))
+            for model in MODELS:
+                h = model_hamiltonian(g, model).astype(float)
+                real = decompose(h)
+                gauged = decompose(d[:, None] * h * d.conj()[None, :])
+                assert real.real and not gauged.real
+                for a in range(n):
+                    targets = [b for b in range(n) if b != a]
+                    for b, v, w in zip(targets, decide(real, a, targets),
+                                       decide(gauged, a, targets)):
+                        assert w.status == v.status, (g.edges, model, a, b)
+                        if v.is_perfect:
+                            assert w.t0 == pytest.approx(v.t0, abs=1e-12)
+                            assert w.transfer_phase / (d[b] * d[a].conj()) == pytest.approx(
+                                v.transfer_phase, abs=1e-12)
+
+
 class TestMinimalTransferTime:
     def test_p3(self):
         v = check_transfer(A_P3, 0, 2)
