@@ -36,18 +36,18 @@ def show(name, h, a, b):
 
 # The 3-site uniform chain transfers end to end even though its spectrum
 # {0, +-sqrt(2)} is irrational: only the gap *ratios* must be rational.
-p3 = adjacency_hamiltonian(path_graph(3)).astype(float)
+p3 = adjacency_hamiltonian(path_graph(3))
 v = show("uniform 3-chain", p3, 0, 2)
 assert math.isclose(v.t0, math.pi / math.sqrt(2))
 
 # The complete graph K3 fails the weight condition: the degenerate
 # eigenspace projects unequally onto any two vertices.
-k3 = adjacency_hamiltonian(complete_graph(3)).astype(float)
+k3 = adjacency_hamiltonian(complete_graph(3))
 show("complete graph K3", k3, 0, 1)
 
 # The 4-site uniform chain has commensurable gaps but the integer gaps
 # disagree with the sign pattern required at B: a parity obstruction.
-p4 = adjacency_hamiltonian(path_graph(4)).astype(float)
+p4 = adjacency_hamiltonian(path_graph(4))
 show("uniform 4-chain", p4, 0, 3)
 
 # Every Perfect verdict can be replayed by direct evolution.

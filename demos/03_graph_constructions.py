@@ -25,24 +25,24 @@ for d in range(1, 5):
     if d > 1:
         g = cartesian_product(g, complete_graph(2))
     assert g == hypercube_graph(d)
-    v = check_transfer(adjacency_hamiltonian(g).astype(float), 0, 2**d - 1)
+    v = check_transfer(adjacency_hamiltonian(g), 0, 2**d - 1)
     print(f"  Q_{d} ({g.n} vertices, graph6 {encode_graph6(g)!r}): "
           f"t0 = {v.t0:.6f}, phase = {v.transfer_phase:.4f}")
 
 print()
 print("= complement rule =")
 c4 = cycle_graph(4)
-v = check_transfer(adjacency_hamiltonian(c4).astype(float), 0, 2)
+v = check_transfer(adjacency_hamiltonian(c4), 0, 2)
 ok = complement_pst_condition(v.t0, c4.n)
 print(f"  C4 transfers 0 -> 2 at t0 = {v.t0:.6f}; "
       f"exp(-i t0 N) = 1? {ok}")
 comp = complement(c4)
-vc = check_transfer(adjacency_hamiltonian(comp).astype(float), 0, 2)
+vc = check_transfer(adjacency_hamiltonian(comp), 0, 2)
 print(f"  complement (edges {comp.sorted_edges()}) over the same pair: "
       f"{vc.status} at t0 = {vc.t0:.6f}")
 
 k2 = complete_graph(2)
-v = check_transfer(adjacency_hamiltonian(k2).astype(float), 0, 1)
+v = check_transfer(adjacency_hamiltonian(k2), 0, 1)
 print(f"  K2 transfers at t0 = {v.t0:.6f}; "
       f"exp(-i t0 N) = 1? {complement_pst_condition(v.t0, 2)} "
       "(and indeed its complement is edgeless)")

@@ -35,8 +35,8 @@ print()
 print("= routing impossibility =")
 for name, mat, src in (
     ("standard 5-chain", h, 0),
-    ("cycle C4", adjacency_hamiltonian(cycle_graph(4)).astype(float), 0),
-    ("path P4", adjacency_hamiltonian(path_graph(4)).astype(float), 0),
+    ("cycle C4", adjacency_hamiltonian(cycle_graph(4)), 0),
+    ("path P4", adjacency_hamiltonian(path_graph(4)), 0),
 ):
     found = routing_impossibility_scan(mat, src)
     print(f"  {name}, source {src}: perfect targets {found or 'none'}")

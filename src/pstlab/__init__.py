@@ -20,6 +20,7 @@ from .graphs import (
     parse_graph6,
     path_graph,
     strong_product,
+    support_graph,
 )
 from .hamiltonians import (
     EdgeNotInGraph,
@@ -31,7 +32,6 @@ from .hamiltonians import (
     laplacian_hamiltonian,
     model_hamiltonian,
     standard_pst_chain_couplings,
-    support_graph,
     weighted_hamiltonian,
 )
 from .spectral import (
@@ -91,12 +91,12 @@ __all__ = [
     "cartesian_product", "complement", "complete_graph", "conjunction",
     "cycle_graph", "diameter", "distance", "encode_graph6",
     "hypercube_graph", "join", "parse_graph6", "path_graph", "strong_product",
+    "support_graph",
     # hamiltonians
     "EdgeNotInGraph", "NonPositiveCoupling", "adjacency_hamiltonian",
     "asymmetric_5chain_couplings", "chain_hamiltonian",
     "check_coupling_identity_5chain", "laplacian_hamiltonian",
-    "model_hamiltonian", "standard_pst_chain_couplings", "support_graph",
-    "weighted_hamiltonian",
+    "model_hamiltonian", "standard_pst_chain_couplings", "weighted_hamiltonian",
     # spectral
     "CommensurabilityResult", "DegenerateInput", "EigensolverFailure",
     "SpectralDecomposition", "decompose", "integer_char_poly",

@@ -86,13 +86,8 @@ def load_matrix(path: str) -> np.ndarray:
     if stripped.startswith("{"):
         try:
             data = json.loads(stripped)
-            n = int(data["n"])
-            edges = frozenset((int(u), int(v)) for u, v, _, _ in data["couplings"])
-            g = G.Graph(n, edges)
-            couplings = {
-                (int(u), int(v)): complex(re, im)
-                for u, v, re, im in data["couplings"]
-            }
+            g = G.Graph(data["n"], frozenset((u, v) for u, v, _, _ in data["couplings"]))
+            couplings = {(u, v): complex(re, im) for u, v, re, im in data["couplings"]}
             fields = data.get("fields")
             return weighted_hamiltonian(g, couplings, fields)
         except (ValueError, KeyError, TypeError) as exc:
@@ -116,7 +111,7 @@ def load_matrix(path: str) -> np.ndarray:
 def build_hamiltonian(args) -> np.ndarray:
     if args.model == "weighted":
         return load_matrix(args.input)
-    return model_hamiltonian(load_graph(args.input), args.model).astype(float)
+    return model_hamiltonian(load_graph(args.input), args.model)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -199,8 +194,7 @@ def cmd_spectrum(args) -> int:
         "multiplicities": dec.multiplicities.tolist(),
     }
     if args.model in ("adjacency", "laplacian"):
-        hint = np.asarray(np.real(h)).astype(np.int64)
-        coeffs, roots = _char_poly_and_roots(hint)
+        coeffs, roots = _char_poly_and_roots(h)
         payload["char_poly"] = [int(c) for c in coeffs]
         payload["integral"] = roots is not None
         if roots is not None:
@@ -237,8 +231,7 @@ def cmd_bounds(args) -> int:
     }
     if args.source is not None:
         try:
-            rr = rate_report(model_hamiltonian(g, args.model).astype(float),
-                             args.source, args.target)
+            rr = rate_report(model_hamiltonian(g, args.model), args.source, args.target)
         except NotPerfect as exc:
             payload["rate"] = {"status": exc.verdict.status, "reason": exc.verdict.reason}
         else:

@@ -1,14 +1,16 @@
 """Undirected simple graphs: metrics, products, and graph6 serialization.
 
 Vertices are integers 0..n-1; edges are unordered pairs stored as (u, v)
-with u < v.  Product graphs index vertex (i, j) as i * n2 + j so that the
-adjacency matrices satisfy the usual Kronecker identities.
+with u < v.  Each product, the join and the complement is the support_graph
+of its adjacency identity, so product graphs index vertex (i, j) as
+i * n2 + j, the Kronecker index.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -31,9 +33,14 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.n < 1:
+        # operator.index turns numpy integers into ints and rejects floats,
+        # so a label is an int wherever it is read (json, numpy indexing)
+        n = operator.index(self.n)
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        edges = frozenset(_normalize_edge(u, v) for u, v in self.edges)
+        edges = frozenset(_normalize_edge(operator.index(u), operator.index(v))
+                          for u, v in self.edges)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         for u, v in edges:
             if u == v:
@@ -75,7 +82,7 @@ class Graph:
     @staticmethod
     def from_json(text: str) -> "Graph":
         data = json.loads(text)
-        return Graph(int(data["n"]), frozenset(tuple(e) for e in data["edges"]))
+        return Graph(data["n"], frozenset(tuple(e) for e in data["edges"]))
 
 
 # -- standard constructions ------------------------------------------------
@@ -167,8 +174,14 @@ def bipartite_coloring(g: Graph) -> BipartiteColoring:
 # -- products and combinations ----------------------------------------------
 
 
-def _product_vertex(i: int, j: int, n2: int) -> int:
-    return i * n2 + j
+def support_graph(h) -> Graph:
+    """Graph with an edge (u, v), u < v, wherever h[u, v] is nonzero.
+
+    The diagonal and the lower triangle are not read.
+    """
+    h = np.asarray(h)
+    u, v = np.nonzero(np.triu(h != 0, 1))
+    return Graph(h.shape[0], frozenset(zip(u.tolist(), v.tolist())))
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
@@ -176,51 +189,31 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 
     Adjacency satisfies A = A1 (x) I + I (x) A2.
     """
-    edges = set()
-    for u1, v1 in g1.edges:
-        for j in range(g2.n):
-            edges.add(_normalize_edge(_product_vertex(u1, j, g2.n),
-                                      _product_vertex(v1, j, g2.n)))
-    for u2, v2 in g2.edges:
-        for i in range(g1.n):
-            edges.add(_normalize_edge(_product_vertex(i, u2, g2.n),
-                                      _product_vertex(i, v2, g2.n)))
-    return Graph(g1.n * g2.n, frozenset(edges))
+    return support_graph(np.kron(g1.adjacency(), np.eye(g2.n))
+                         + np.kron(np.eye(g1.n), g2.adjacency()))
 
 
 def conjunction(g1: Graph, g2: Graph) -> Graph:
     """Tensor product: both coordinates adjacent.  A = A1 (x) A2."""
-    edges = set()
-    for u1, v1 in g1.edges:
-        for u2, v2 in g2.edges:
-            edges.add(_normalize_edge(_product_vertex(u1, u2, g2.n),
-                                      _product_vertex(v1, v2, g2.n)))
-            edges.add(_normalize_edge(_product_vertex(u1, v2, g2.n),
-                                      _product_vertex(v1, u2, g2.n)))
-    return Graph(g1.n * g2.n, frozenset(edges))
+    return support_graph(np.kron(g1.adjacency(), g2.adjacency()))
 
 
 def strong_product(g1: Graph, g2: Graph) -> Graph:
-    """Union of the Cartesian and tensor product edge sets."""
-    c = cartesian_product(g1, g2)
-    t = conjunction(g1, g2)
-    return Graph(c.n, c.edges | t.edges)
+    """Union of the Cartesian and tensor product edge sets: the off-diagonal
+    support of (A1 + I) (x) (A2 + I)."""
+    return support_graph(np.kron(g1.adjacency() + np.eye(g1.n),
+                                 g2.adjacency() + np.eye(g2.n)))
 
 
 def join(g1: Graph, g2: Graph) -> tuple:
-    """Disjoint union plus all cross edges.
+    """Disjoint union plus all cross edges: A = [[A1, J], [J^T, A2]].
 
     Returns (graph, square_ok).  square_ok reports whether both inputs are
     regular and (d1-d2)^2 + 4*n1*n2 is a perfect square (exact integers);
     it is False whenever either input is irregular.
     """
-    edges = set(g1.edges)
-    for u, v in g2.edges:
-        edges.add((u + g1.n, v + g1.n))
-    for u in range(g1.n):
-        for v in range(g2.n):
-            edges.add((u, v + g1.n))
-    g = Graph(g1.n + g2.n, frozenset(edges))
+    cross = np.ones((g1.n, g2.n), dtype=np.int64)
+    g = support_graph(np.block([[g1.adjacency(), cross], [cross.T, g2.adjacency()]]))
     square_ok = False
     if g1.is_regular() and g2.is_regular():
         d1 = g1.degrees()[0]
@@ -231,13 +224,8 @@ def join(g1: Graph, g2: Graph) -> tuple:
 
 
 def complement(g: Graph) -> Graph:
-    edges = frozenset(
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in g.edges
-    )
-    return Graph(g.n, edges)
+    """Every non-edge becomes an edge: the off-diagonal support of 1 - A."""
+    return support_graph(1 - g.adjacency())
 
 
 # -- graph6 ------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 All constructors return plain numpy arrays: exact int64 matrices for the
 uniformly coupled models (adjacency / Laplacian) and complex Hermitian
-matrices for weighted couplings with on-site fields.
+matrices for weighted couplings with on-site fields.  The way back, from a
+matrix to its coupling graph, is graphs.support_graph.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -55,7 +57,7 @@ def weighted_hamiltonian(g: Graph, couplings: dict, fields=None) -> np.ndarray:
     """
     h = np.zeros((g.n, g.n), dtype=complex)
     for (u, v), j in couplings.items():
-        e = _normalize_edge(u, v)
+        e = _normalize_edge(operator.index(u), operator.index(v))
         if e not in g.edges:
             raise EdgeNotInGraph(f"({u},{v}) is not an edge of the graph")
         if (u, v) != e:
@@ -78,16 +80,6 @@ def chain_hamiltonian(couplings, fields=None) -> np.ndarray:
     g = path_graph(n)
     cmap = {(i, i + 1): j for i, j in enumerate(couplings)}
     return weighted_hamiltonian(g, cmap, fields)
-
-
-def support_graph(h: np.ndarray) -> Graph:
-    """Graph with an edge wherever the off-diagonal coupling is nonzero."""
-    h = np.asarray(h)
-    n = h.shape[0]
-    edges = frozenset(
-        (u, v) for u in range(n) for v in range(u + 1, n) if h[u, v] != 0
-    )
-    return Graph(n, edges)
 
 
 # -- the paper-style worked chains ------------------------------------------

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, diameter, distance
-from .hamiltonians import laplacian_hamiltonian, support_graph
-from .spectral import _decomposition, decompose, is_integral_spectrum
+from .graphs import Graph, diameter, distance, support_graph
+from .hamiltonians import laplacian_hamiltonian
+from .spectral import _decomposition, decompose
 from .transfer import NonRealHamiltonian, NotPerfect, decide, refine_extrema
 
 
@@ -150,8 +150,8 @@ def _safe_ceil(x: float) -> int:
 def laplacian_diameter_bounds(g: Graph, alphas=MOHAR_ALPHAS) -> DiameterBoundsReport:
     """Diameter bounds D <= 2d, D+1 <= k, and the Mohar bound at each alpha.
 
-    k is the number of distinct Laplacian eigenvalues, decided exactly when
-    the Laplacian spectrum is integral.  Each alpha must be finite and > 1.
+    k is the number of distinct Laplacian eigenvalues, the eigenspaces of
+    its decomposition.  Each alpha must be finite and > 1.
     """
     if not all(1 < alpha < math.inf for alpha in alphas):
         raise ValueError(f"each Mohar alpha must be finite and greater than 1, got {alphas}")
@@ -159,12 +159,7 @@ def laplacian_diameter_bounds(g: Graph, alphas=MOHAR_ALPHAS) -> DiameterBoundsRe
     if D is None:
         raise Disconnected("diameter bounds require a connected graph")
     d = g.max_degree()
-    lap = laplacian_hamiltonian(g)
-    integral, roots = is_integral_spectrum(lap)
-    if integral:
-        k = len(set(roots))
-    else:
-        k = decompose(lap.astype(float)).num_eigenspaces
+    k = decompose(laplacian_hamiltonian(g)).num_eigenspaces
     # the Mohar bound's log term is vacuous for N <= 2
     mohar = {alpha: _mohar_bound(d, g.n, alpha) for alpha in alphas} if g.n > 2 else {}
     bounds = [2 * d, k - 1, *mohar.values()]

@@ -180,7 +180,7 @@ def _analyze_graph(g: Graph, models) -> tuple:
     g6 = encode_graph6(g)
     for model in models:
         hint = model_hamiltonian(g, model)
-        dec = decompose(hint.astype(float))
+        dec = decompose(hint)
         for a in range(g.n - 1):
             targets = range(a + 1, g.n)
             for b, verdict in zip(targets, decide(dec, a, targets)):

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, bipartite_coloring
-from .hamiltonians import support_graph
+from .graphs import Graph, bipartite_coloring, support_graph
 from .spectral import (
     CommensurabilityResult,
     SpectralDecomposition,

@@ -133,6 +133,20 @@ class TestCheck:
         assert code == EXIT_PARSE
         assert "field vertex" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,payload", [
+        ("adjacency", {"n": 2.5, "edges": [[0, 1]]}),
+        ("adjacency", {"n": 2, "edges": [[0, 1.0]]}),
+        ("adjacency", {"n": 3, "edges": [[0, 1.5], [1, 2]]}),
+        ("weighted", {"n": 3, "couplings": [[0, 1.7, 1, 0], [1, 2.2, 1, 0]]}),
+    ], ids=["n-2.5", "edge-1.0", "edge-1.5", "coupling-1.7"])
+    def test_non_integer_labels_are_parse_errors(self, tmp_path, capsys, model, payload):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        code = main(["check", str(path), "--model", model, "--source", "0", "--target", "1"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PARSE and out == ""
+        assert "cannot be interpreted as an integer" in err
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -302,10 +316,10 @@ class TestBounds:
         assert rate["bound_satisfied"] is True
 
     def test_rate_decomposes_once(self, p3_file, capsys, eigh_calls):
-        # P3's Laplacian spectrum is integral, so the rate report's
-        # decomposition is the only one
+        # one decomposition counts the Laplacian's eigenvalues; one more
+        # serves both the decision and the rate report
         code = main(["bounds", p3_file, "--source", "0", "--target", "2", "--json"])
-        assert code == 0 and eigh_calls == [1]
+        assert code == 0 and eigh_calls == [2]
         assert json.loads(capsys.readouterr().out)["rate"] == {
             "D": 2, "M": 3, "l": 0, "zero_times": [], "bound_satisfied": True,
             "ml_lower_bound": math.pi / 4,

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import networkx as nx
 import pstlab.graphs
@@ -66,6 +67,20 @@ class TestGraphBasics:
     def test_json_round_trip(self):
         g = Graph(4, frozenset({(0, 1), (2, 3)}))
         assert Graph.from_json(g.to_json()) == g
+
+    def test_numpy_labels_are_stored_as_ints(self):
+        g = Graph(np.int64(3), [(0, np.int64(1)), (np.uint8(2), 1)])
+        assert type(g.n) is int
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert Graph.from_json(g.to_json()) == P3
+
+    @pytest.mark.parametrize("n,edges", [(2.5, [(0, 1)]), (2, [(0, 1.0)]), (3, [(0, 1.5)])],
+                             ids=["n-2.5", "edge-1.0", "edge-1.5"])
+    def test_non_integer_labels_are_rejected(self, n, edges):
+        with pytest.raises(TypeError):
+            Graph(n, edges)
+        with pytest.raises(TypeError):
+            Graph.from_json(json.dumps({"n": n, "edges": edges}))
 
 
 class TestDistance:
@@ -215,17 +230,47 @@ class TestProducts:
         assert g.n == 6 and len(g.edges) == 11
 
     def test_kronecker_identities(self):
+        # against the vertex-pair rules, not against the np.kron calls that
+        # build the products
         for g1, g2 in itertools.product(PRODUCT_POOL, repeat=2):
-            a1, a2 = g1.adjacency(), g2.adjacency()
-            i1, i2 = np.eye(g1.n, dtype=np.int64), np.eye(g2.n, dtype=np.int64)
-            cart = np.kron(a1, i2) + np.kron(i1, a2)
-            conj = np.kron(a1, a2)
-            assert np.array_equal(cartesian_product(g1, g2).adjacency(), cart)
-            assert np.array_equal(conjunction(g1, g2).adjacency(), conj)
-            assert np.array_equal(
-                strong_product(g1, g2).adjacency(),
-                np.minimum(cart + conj, 1),
-            )
+            _assert_constructions_by_definition(g1, g2)
+
+    @given(graphs_strategy(max_n=4), graphs_strategy(max_n=4))
+    @settings(max_examples=40, deadline=None)
+    def test_constructions_by_definition(self, g1, g2):
+        _assert_constructions_by_definition(g1, g2)
+
+
+def _assert_constructions_by_definition(g1, g2):
+    """Each construction against the rule that defines its edges; product
+    vertex (i, j) is i * g2.n + j, and the join puts g2 after g1."""
+    def adjacent(g, u, v):
+        return (min(u, v), max(u, v)) in g.edges
+
+    cart, tensor = set(), set()
+    # lexicographic pairs of product vertices, so u < v
+    pairs = itertools.combinations(itertools.product(range(g1.n), range(g2.n)), 2)
+    for (i, j), (k, l) in pairs:
+        u, v = i * g2.n + j, k * g2.n + l
+        a1, a2 = adjacent(g1, i, k), adjacent(g2, j, l)
+        if (i == k and a2) or (j == l and a1):  # equal in one, adjacent in the other
+            cart.add((u, v))
+        if a1 and a2:
+            tensor.add((u, v))
+    joined = (g1.edges | {(u + g1.n, v + g1.n) for u, v in g2.edges}
+              | {(u, g1.n + v) for u in range(g1.n) for v in range(g2.n)})
+    non_edges = {e for e in itertools.combinations(range(g1.n), 2) if e not in g1.edges}
+    expected = [
+        (cartesian_product(g1, g2), g1.n * g2.n, cart),
+        (conjunction(g1, g2), g1.n * g2.n, tensor),
+        (strong_product(g1, g2), g1.n * g2.n, cart | tensor),
+        (join(g1, g2)[0], g1.n + g2.n, joined),
+        (complement(g1), g1.n, non_edges),
+    ]
+    for g, n, edges in expected:
+        assert (g.n, g.edges) == (n, edges)
+        assert type(g.n) is int and all(type(x) is int for e in g.edges for x in e)
+        assert Graph.from_json(g.to_json()) == g
 
 
 class TestJoinComplement:

@@ -92,6 +92,10 @@ class TestWeighted:
         h = weighted_hamiltonian(K2, {(1, 0): 1j})
         assert h[0, 1] == -1j
 
+    def test_non_integer_coupling_key(self):
+        with pytest.raises(TypeError):
+            weighted_hamiltonian(P3, {(0, 1.0): 1.0})
+
     def test_edge_not_in_graph(self):
         with pytest.raises(EdgeNotInGraph):
             weighted_hamiltonian(P3, {(0, 2): 1.0})
@@ -111,6 +115,12 @@ class TestWeighted:
         g = cycle_graph(5)
         h = weighted_hamiltonian(g, {e: 0.3 for e in g.edges})
         assert support_graph(h) == g
+        # against the pair scan over the strict upper triangle: the diagonal
+        # and the lower triangle are not read
+        rng = np.random.default_rng(0)
+        m = rng.integers(-1, 2, (9, 9)) * (1 + 1j * rng.integers(0, 2, (9, 9)))
+        edges = {(u, v) for u in range(9) for v in range(u + 1, 9) if m[u, v] != 0}
+        assert support_graph(m) == Graph(9, edges)
 
 
 class TestCouplingFixtures:

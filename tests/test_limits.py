@@ -16,8 +16,11 @@ from pstlab import (
     complete_graph,
     cycle_graph,
     decompose,
+    enumerate_connected_graphs,
     hypercube_graph,
+    is_integral_spectrum,
     laplacian_diameter_bounds,
+    laplacian_hamiltonian,
     path_graph,
     rate_report,
     routing_bound_check,
@@ -237,6 +240,19 @@ class TestDiameterBounds:
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             laplacian_diameter_bounds(Graph(4, frozenset({(0, 1), (2, 3)})))
+
+    def test_k_counts_the_distinct_exact_roots(self):
+        # the exact integer roots are the reference: distinct integer
+        # eigenvalues lie at least 1 apart, and decompose merges only gaps
+        # below GROUPING_TOL * max(1, spectral radius)
+        integral = 0
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n):
+                ok, roots = is_integral_spectrum(laplacian_hamiltonian(g))
+                if ok:
+                    integral += 1
+                    assert laplacian_diameter_bounds(g).k == len(set(roots)), g
+        assert integral == 152
 
     @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.5, -2.0, math.nan, math.inf])
     def test_rejects_alpha_not_above_1(self, alpha):
