@@ -28,7 +28,6 @@ from .search import (
 )
 from .spectral import (
     _char_poly_and_roots,
-    _require_vertices,
     decompose,
     require_hermitian,
 )
@@ -168,7 +167,7 @@ def cmd_evolve(args) -> int:
     if not (math.isfinite(start) and math.isfinite(end)) or steps < 2 or end < start:
         print("error: need finite start and end, steps >= 2 and end >= start", file=sys.stderr)
         return EXIT_USAGE
-    _require_vertices(h.shape[0], args.source)
+    G._require_vertices(h.shape[0], args.source)
     dec = decompose(h)
     times = np.linspace(start, end, steps)
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")

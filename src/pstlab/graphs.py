@@ -13,6 +13,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +22,23 @@ class MalformedGraph6(ValueError):
     """Raised on graph6 input that violates the format."""
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
+def _label(x) -> int:
+    """x as an int: numpy integers become ints; floats and bools are rejected."""
+    if isinstance(x, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(x)
+
+
+def _require_vertices(n: int, vertices):
+    """Raise IndexError unless vertices, an array of any shape, holds integers in 0..n-1."""
+    v = np.asarray(vertices)
+    if v.dtype.kind not in "iu" or ((v < 0) | (v >= n)).any():
+        raise IndexError(f"vertex out of range 0..{n - 1}")
+
+
+@lru_cache(maxsize=256, typed=True)  # graphs with an edge in common share its tuple
+def _normalize_edge(u, v) -> tuple[int, int]:
+    u, v = _label(u), _label(v)
     return (u, v) if u < v else (v, u)
 
 
@@ -33,13 +50,11 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        # operator.index turns numpy integers into ints and rejects floats,
-        # so a label is an int wherever it is read (json, numpy indexing)
-        n = operator.index(self.n)
+        # a label is an int wherever it is read (json, numpy indexing)
+        n = _label(self.n)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        edges = frozenset(_normalize_edge(operator.index(u), operator.index(v))
-                          for u, v in self.edges)
+        edges = frozenset(_normalize_edge(u, v) for u, v in self.edges)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         for u, v in edges:
@@ -135,8 +150,7 @@ def _bfs(g: Graph, u: int) -> list:
 
 def distance(g: Graph, u: int, v: int):
     """Shortest-path distance by BFS; None when u and v are disconnected."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise IndexError(f"vertex out of range for n={g.n}")
+    _require_vertices(g.n, (u, v))
     return _bfs(g, u)[v]
 
 
@@ -233,20 +247,16 @@ def complement(g: Graph) -> Graph:
 _G6_MAX = 62  # single-byte size encoding only
 
 
-def _pair_bits(g: Graph) -> list:
-    # column-major upper triangle: x(0,1), x(0,2), x(1,2), x(0,3), ...
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if (u, v) in g.edges else 0)
-    return bits
+def _g6_pairs(n: int) -> list:
+    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
+    return [(u, v) for v in range(1, n) for u in range(v)]
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode in the standard graph6 format (n < 63 only)."""
     if g.n > _G6_MAX:
         raise ValueError(f"graph6 encoding limited to n <= {_G6_MAX}")
-    bits = _pair_bits(g)
+    bits = [int(e in g.edges) for e in _g6_pairs(g.n)]
     while len(bits) % 6:
         bits.append(0)
     out = [chr(g.n + 63)]
@@ -284,11 +294,4 @@ def parse_graph6(text: str) -> Graph:
         bits.extend((word >> k) & 1 for k in range(5, -1, -1))
     if any(bits[npairs:]):
         raise MalformedGraph6("nonzero padding bits")
-    edges = set()
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.add((u, v))
-            idx += 1
-    return Graph(n, frozenset(edges))
+    return Graph(n, frozenset(e for e, bit in zip(_g6_pairs(n), bits) if bit))

@@ -9,7 +9,6 @@ matrix to its coupling graph, is graphs.support_graph.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -57,7 +56,7 @@ def weighted_hamiltonian(g: Graph, couplings: dict, fields=None) -> np.ndarray:
     """
     h = np.zeros((g.n, g.n), dtype=complex)
     for (u, v), j in couplings.items():
-        e = _normalize_edge(operator.index(u), operator.index(v))
+        e = _normalize_edge(u, v)
         if e not in g.edges:
             raise EdgeNotInGraph(f"({u},{v}) is not an edge of the graph")
         if (u, v) != e:
@@ -66,7 +65,7 @@ def weighted_hamiltonian(g: Graph, couplings: dict, fields=None) -> np.ndarray:
         h[e[1], e[0]] = np.conjugate(j)
     if fields is not None:
         for v, b in (fields.items() if isinstance(fields, dict) else enumerate(fields)):
-            if not (isinstance(v, (int, np.integer)) and 0 <= v < g.n):
+            if not (isinstance(v, (int, np.integer)) and type(v) is not bool and 0 <= v < g.n):
                 raise ValueError(f"field vertex {v!r} is not in 0..{g.n - 1}")
             h[v, v] = float(b)
     return h

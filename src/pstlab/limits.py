@@ -85,7 +85,7 @@ def rate_report(h, a: int, b: int) -> RateReport:
     a to b is not decided perfect.
     """
     dec = decompose(h)
-    verdict = decide(dec, a, [b])[0]
+    verdict = decide(dec, [(a, b)])[0]
     if not verdict.is_perfect:
         raise NotPerfect("rate report requires a Perfect verdict", verdict)
     h = np.asarray(h)
@@ -115,8 +115,8 @@ def routing_impossibility_scan(h, a: int) -> dict:
     dec = decompose(h)
     if not dec.real:
         raise NonRealHamiltonian("routing scan is defined for real Hamiltonians")
-    targets = [c for c in range(dec.n) if c != a]
-    found = {b: v.t0 for b, v in zip(targets, decide(dec, a, targets)) if v.is_perfect}
+    pairs = [(a, c) for c in range(dec.n) if c != a]
+    found = {b: v.t0 for (_, b), v in zip(pairs, decide(dec, pairs)) if v.is_perfect}
     if len(found) > 1:
         raise RoutingViolation(f"multiple perfect targets from {a}: {found}")
     return found

@@ -178,33 +178,31 @@ def _analyze_graph(g: Graph, models) -> tuple:
     and the fields that only a record reads only for a record."""
     records, undecided = [], []
     g6 = encode_graph6(g)
+    pairs = _pairs(g.n)
     for model in models:
         hint = model_hamiltonian(g, model)
         dec = decompose(hint)
-        for a in range(g.n - 1):
-            targets = range(a + 1, g.n)
-            for b, verdict in zip(targets, decide(dec, a, targets)):
-                if verdict.status == UNDECIDED:
-                    undecided.append((g6, model, a, b, verdict.reason))
-                    continue
-                if not verdict.is_perfect:
-                    continue
-                records.append(SearchRecord(
-                    graph6=g6,
-                    n=g.n,
-                    model=model,
-                    source=a,
-                    target=b,
-                    t0=verdict.t0,
-                    transfer_phase=verdict.transfer_phase,
-                    D=distance(g, a, b),
-                    M=dec.num_eigenspaces,
-                    l=len(autocorrelation_zeros(dec, a, verdict.t0)),
-                    integral_spectrum=is_integral_spectrum(hint)[0],
-                    bipartite=bipartite_coloring(g).valid,
-                    regular=g.is_regular(),
-                    max_degree=g.max_degree(),
-                ))
+        for (a, b), verdict in zip(pairs, decide(dec, pairs)):
+            if verdict.status == UNDECIDED:
+                undecided.append((g6, model, a, b, verdict.reason))
+            if not verdict.is_perfect:
+                continue
+            records.append(SearchRecord(
+                graph6=g6,
+                n=g.n,
+                model=model,
+                source=a,
+                target=b,
+                t0=verdict.t0,
+                transfer_phase=verdict.transfer_phase,
+                D=distance(g, a, b),
+                M=dec.num_eigenspaces,
+                l=len(autocorrelation_zeros(dec, a, verdict.t0)),
+                integral_spectrum=is_integral_spectrum(hint)[0],
+                bipartite=bipartite_coloring(g).valid,
+                regular=g.is_regular(),
+                max_degree=g.max_degree(),
+            ))
     return records, undecided
 
 
@@ -239,7 +237,9 @@ def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_census_graph, graphs, itertools.repeat(models)))
+            # a few chunks per worker: a task per graph costs more than the graph
+            outputs = list(pool.map(_census_graph, graphs, itertools.repeat(models),
+                                    chunksize=-(-len(graphs) // (4 * workers))))
     else:
         outputs = (_census_graph(g, models) for g in graphs)
     for recs, und, failure in outputs:

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .graphs import _require_vertices
+
 
 class EigensolverFailure(RuntimeError):
     pass
@@ -24,11 +26,6 @@ HERMITIAN_RTOL = 1e-10  # largest accepted asymmetry, relative to the largest en
 GROUPING_TOL = 1e-8  # relative gap below which eigenvalues share an eigenspace
 MAX_DENOMINATOR = 10**6  # largest denominator real_gcd tries for a gap ratio
 RESIDUAL_TOL = 1e-9  # noise floor of real_gcd's fractions and its reconstruction
-
-
-def _require_vertices(n: int, *vertices):
-    if not all(0 <= v < n for v in vertices):
-        raise IndexError(f"vertex out of range 0..{n - 1}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ class SpectralDecomposition:
 
     def pair_coefficients(self, a: int, b: int) -> np.ndarray:
         """c_k = P_k[b,a], so that <b|e^{-iHt}|a> = sum_k c_k e^{-i lambda_k t}."""
-        _require_vertices(self.n, a, b)
+        _require_vertices(self.n, (a, b))
         v = self.vectors
         return np.add.reduceat(v[a].conj() * v[b], self.starts)
 

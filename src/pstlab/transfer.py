@@ -1,6 +1,6 @@
 """Perfect state transfer decision procedure and time evolution.
 
-decide tells, for one source and several targets on one decomposition,
+decide tells, for any list of vertex pairs (a, b) on one decomposition,
 whether e^{-iHt0}|a> = e^{i phi}|b> is achievable for some t0, via the
 eigenspace weight/proportionality test and one exact phase test on the
 integer gap structure of the supported spectrum, for real and complex H
@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, bipartite_coloring, support_graph
+from .graphs import Graph, _require_vertices, bipartite_coloring, support_graph
 from .spectral import (
     CommensurabilityResult,
     SpectralDecomposition,
     _decomposition,
-    _require_vertices,
     decompose,
     real_gcd,
 )
@@ -163,27 +162,24 @@ def refine_extrema(lams, coeffs, lo, hi, t):
 # -- the eigenspace weight test -------------------------------------------------
 
 
-def weight_test(dec: SpectralDecomposition, a: int, targets):
-    """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for every target b at once.
+def weight_test(dec: SpectralDecomposition, sources, targets):
+    """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for each pair (sources[j], targets[j]).
 
-    Returns (supported, ratios, failed), (targets x eigenspaces) arrays: both
+    Returns (supported, ratios, failed), (pairs x eigenspaces) arrays: both
     vertices have weight on P_k; s_k = P_k[a,b] / P_k[a,a] where supported;
     eigenspace k fails the test, by supporting just one of the two vertices
     or by breaking the proportionality.
 
-    Works from row a of the projectors, P_k[a,b] = sum over the columns m of
-    eigenspace k of V[a,m] conj(V[b,m]), and their diagonals P_k[b,b].  On an
-    eigenspace of dimension two or more, |s_k| = 1 leaves P_k[b,b] > P_k[a,a]
-    possible, so there the residual |P_k|b> - s_k P_k|a>| is also bounded; it
-    is taken from the eigenbasis coordinates, since P_k[b,b] - |P_k[a,b]|^2 /
-    P_k[a,a] would keep only half the digits.  Every array is (targets x n)
-    at most.
+    P_k[a,b] sums V[a,m] conj(V[b,m]) over the columns m of eigenspace k.  On
+    an eigenspace of dimension two or more, |s_k| = 1 allows P_k[b,b] >
+    P_k[a,a], so there the residual |P_k|b> - s_k P_k|a>| is bounded too, from
+    the eigenbasis coordinates, since P_k[b,b] - |P_k[a,b]|^2 / P_k[a,a]
+    would keep only half the digits.  Every array is (pairs x n) at most.
     """
-    targets = np.asarray(targets, dtype=np.intp)
     starts = dec.starts
-    va = dec.vectors[a]
+    va = dec.vectors[sources]
     vb = dec.vectors[targets]
-    sq_a = np.add.reduceat(_abs2(va), starts)
+    sq_a = np.add.reduceat(_abs2(va), starts, axis=1)
     sup_a = sq_a > SUPPORT_TOL * SUPPORT_TOL
     sup_b = np.add.reduceat(_abs2(vb), starts, axis=1) > SUPPORT_TOL * SUPPORT_TOL
     s = np.add.reduceat(vb.conj() * va, starts, axis=1) / np.where(sup_a, sq_a, 1.0)
@@ -204,27 +200,33 @@ _SINGLE_EIGENSPACE = TransferVerdict(NO_TRANSFER, reason="weight mismatch (singl
 
 def check_transfer(h, a: int, b: int) -> TransferVerdict:
     """Decide perfect state transfer from vertex a to vertex b under H."""
-    return decide(decompose(h), a, [b])[0]
+    return decide(decompose(h), [(a, b)])[0]
 
 
-def decide(dec: SpectralDecomposition, a: int, targets) -> list:
-    """The verdict for a -> b, for every b in targets, on one decomposition.
+def decide(dec: SpectralDecomposition, pairs) -> list:
+    """The verdict for a -> b, for every pair (a, b) in pairs, on one decomposition.
 
-    One weight test serves every target; the phase stage runs only for the
-    targets that pass it.  Targets failing it share one no-transfer verdict
-    per first failing eigenspace.  Raises VertexCoincide when a is among the
-    targets, and IndexError for a vertex outside 0..n-1.
+    One weight test serves every pair; the phase stage runs only for the
+    pairs that pass it.  Pairs failing it share one no-transfer verdict per
+    first failing eigenspace.  Raises VertexCoincide for a pair (a, a),
+    IndexError for a vertex that is not an integer in 0..n-1, and ValueError
+    when pairs is not a sequence of pairs.
     """
-    targets = list(targets)
-    if a in targets:
+    pairs = np.asarray(pairs)
+    if not pairs.size:
+        return []
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"pairs must be (source, target) pairs, got shape {pairs.shape}")
+    _require_vertices(dec.n, pairs)
+    sources, targets = pairs.T
+    if (sources == targets).any():
         raise VertexCoincide("source and target must differ")
-    _require_vertices(dec.n, a, *targets)
-    supported, ratios, failed = weight_test(dec, a, targets)
+    supported, ratios, failed = weight_test(dec, sources, targets)
     first_failed = np.where(failed.any(axis=1), failed.argmax(axis=1), -1).tolist()
     num_supported = supported.sum(axis=1).tolist()
     mismatch = {}  # first failing eigenspace -> its shared verdict
     verdicts = []
-    for j, (b, k, m) in enumerate(zip(targets, first_failed, num_supported)):
+    for j, ((a, b), k, m) in enumerate(zip(pairs.tolist(), first_failed, num_supported)):
         if k >= 0:
             verdict = mismatch.get(k)
             if verdict is None:
@@ -311,8 +313,8 @@ def symmetry_operator(dec: SpectralDecomposition, a: int, b: int) -> np.ndarray:
     fixed to 1.  Raises PhaseUndefined when the pair fails the weight test,
     since no such S exists then.
     """
-    _require_vertices(dec.n, a, b)
-    supported, ratios, failed = weight_test(dec, a, [b])
+    _require_vertices(dec.n, (a, b))
+    supported, ratios, failed = weight_test(dec, [a], [b])
     if failed.any():
         raise PhaseUndefined(
             f"projections not proportional at eigenvalue {dec.eigenvalues[failed.argmax()]:.6g}"

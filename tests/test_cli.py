@@ -147,6 +147,21 @@ class TestCheck:
         assert code == EXIT_PARSE and out == ""
         assert "cannot be interpreted as an integer" in err
 
+    @pytest.mark.parametrize("model,payload", [
+        ("adjacency", {"n": 2, "edges": [[False, True]]}),
+        ("adjacency", {"n": True, "edges": []}),
+        ("weighted", {"n": 2, "couplings": [[False, True, 1, 0]]}),
+    ], ids=["edge-false-true", "n-true", "coupling-false-true"])
+    def test_bool_labels_are_parse_errors(self, tmp_path, capsys, model, payload):
+        # a JSON true or false is not the vertex 1 or 0: K2 written with
+        # [false, true] used to answer perfect, exit 0
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        code = main(["check", str(path), "--model", model, "--source", "0", "--target", "1"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PARSE and out == ""
+        assert "'bool' object cannot be interpreted as an integer" in err
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

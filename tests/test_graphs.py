@@ -82,6 +82,22 @@ class TestGraphBasics:
         with pytest.raises(TypeError):
             Graph.from_json(json.dumps({"n": n, "edges": edges}))
 
+    @pytest.mark.parametrize("n,edges",
+                             [(True, []), (2, [(False, True)]), (3, [(0, 1), (True, 2)])],
+                             ids=["n-true", "edge-false-true", "edge-true-2"])
+    def test_bool_labels_are_rejected(self, n, edges):
+        Graph(3, [(0, 1), (1, 2)])  # the same labels as ints are accepted, and stay apart
+        with pytest.raises(TypeError, match="'bool' object"):
+            Graph(n, edges)
+        with pytest.raises(TypeError, match="'bool' object"):
+            Graph.from_json(json.dumps({"n": n, "edges": edges}))
+
+
+    def test_graphs_share_edge_tuples(self):
+        # a census keeps every graph it reads, so an edge is stored once
+        a, b = Graph(2, [(0, 1)]), Graph(3, [(0, 1), (1, 2)])
+        assert next(iter(a.edges)) is next(e for e in b.edges if e == (0, 1))
+
 
 class TestDistance:
     def test_p3_ends(self):
@@ -101,6 +117,12 @@ class TestDistance:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             distance(P3, 0, 3)
+
+    @pytest.mark.parametrize("u,v", [(False, True), (0, 1.0), (-1, 0)])
+    def test_vertex_that_is_not_a_label(self, u, v):
+        # the one vertex check of the decision path; (False, True) was read as (0, 1)
+        with pytest.raises(IndexError):
+            distance(P3, u, v)
 
     def test_disconnected(self):
         g = Graph(4, frozenset({(0, 1), (2, 3)}))

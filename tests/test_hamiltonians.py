@@ -96,6 +96,10 @@ class TestWeighted:
         with pytest.raises(TypeError):
             weighted_hamiltonian(P3, {(0, 1.0): 1.0})
 
+    def test_bool_coupling_key(self):
+        with pytest.raises(TypeError):
+            weighted_hamiltonian(K2, {(False, True): 1.0})
+
     def test_edge_not_in_graph(self):
         with pytest.raises(EdgeNotInGraph):
             weighted_hamiltonian(P3, {(0, 2): 1.0})
@@ -105,8 +109,10 @@ class TestWeighted:
         assert np.array_equal(np.diag(h), [0.5, -1.0, 0.0])
         assert np.array_equal(h, h.conj().T)
 
-    @pytest.mark.parametrize("fields", [{-1: 2.0}, {3: 2.0}, {"0": 1.0}, [0.0, 0.0, 0.0, 5.0]],
-                             ids=["vertex-minus-1", "vertex-3", "string-key", "list-too-long"])
+    @pytest.mark.parametrize("fields", [{-1: 2.0}, {3: 2.0}, {"0": 1.0}, [0.0, 0.0, 0.0, 5.0],
+                                        {True: 2.0}],
+                             ids=["vertex-minus-1", "vertex-3", "string-key", "list-too-long",
+                                  "vertex-true"])
     def test_field_vertex_out_of_range(self, fields):
         with pytest.raises(ValueError, match="field vertex"):
             weighted_hamiltonian(P3, {(0, 1): 1.0}, fields)

@@ -192,15 +192,13 @@ def test_real_and_complex_arithmetic_agree(small_connected_graphs):
                 real = decompose(h)
                 gauged = decompose(d[:, None] * h * d.conj()[None, :])
                 assert real.real and not gauged.real
-                for a in range(n):
-                    targets = [b for b in range(n) if b != a]
-                    for b, v, w in zip(targets, decide(real, a, targets),
-                                       decide(gauged, a, targets)):
-                        assert w.status == v.status, (g.edges, model, a, b)
-                        if v.is_perfect:
-                            assert w.t0 == pytest.approx(v.t0, abs=1e-12)
-                            assert w.transfer_phase / (d[b] * d[a].conj()) == pytest.approx(
-                                v.transfer_phase, abs=1e-12)
+                pairs = [(a, b) for a in range(n) for b in range(n) if b != a]
+                for (a, b), v, w in zip(pairs, decide(real, pairs), decide(gauged, pairs)):
+                    assert w.status == v.status, (g.edges, model, a, b)
+                    if v.is_perfect:
+                        assert w.t0 == pytest.approx(v.t0, abs=1e-12)
+                        assert w.transfer_phase / (d[b] * d[a].conj()) == pytest.approx(
+                            v.transfer_phase, abs=1e-12)
 
 
 class TestMinimalTransferTime:
@@ -482,8 +480,8 @@ class TestWeightTest:
             dec = decompose(h)
             for a in range(dec.n):
                 targets = [b for b in range(dec.n) if b != a]
-                supported, ratios, failed = weight_test(dec, a, targets)
-                verdicts = decide(dec, a, targets)
+                supported, ratios, failed = weight_test(dec, [a] * len(targets), targets)
+                verdicts = decide(dec, [(a, b) for b in targets])
                 for j, b in enumerate(targets):
                     k, sup, phases = reference_weight_test(dec, a, b)
                     bad = np.flatnonzero(failed[j])
@@ -502,12 +500,12 @@ class TestWeightTest:
     def test_first_mismatch_names_the_eigenvalue(self):
         # K3, eigenvalue -1: P[0,0] = P[1,1] = 2/3 but |P[0,1]| = 1/3
         dec = decompose(A_K3)
-        _, _, failed = weight_test(dec, 0, [1, 2])
+        _, _, failed = weight_test(dec, [0, 0], [1, 2])
         assert failed.any(axis=1).all()
         assert failed.argmax(axis=1).tolist() == [0, 0]
         assert check_transfer(A_K3, 0, 1).reason == "weight mismatch at eigenvalue -1"
         # the two targets failing at one eigenspace share one verdict
-        v1, v2 = decide(dec, 0, [1, 2])
+        v1, v2 = decide(dec, [(0, 1), (0, 2)])
         assert v1 is v2 and v1.reason == "weight mismatch at eigenvalue -1"
 
     def test_symmetry_operator_rejects_failing_pair(self):
@@ -527,8 +525,9 @@ class TestDecide:
             dec = decompose(h)
             for a in range(dec.n):
                 targets = [b for b in range(dec.n) if b != a]
-                assert decide(dec, a, targets) == [check_transfer(h, a, b) for b in targets]
-        assert decide(decompose(gauged_pst_chain(6, 4)), 0, [5])[0].is_perfect
+                assert (decide(dec, [(a, b) for b in targets])
+                        == [check_transfer(h, a, b) for b in targets])
+        assert decide(decompose(gauged_pst_chain(6, 4)), [(0, 5)])[0].is_perfect
         # the flux triangle's spectrum is -sqrt3, 0, sqrt3: chi = sqrt3, z = (1, 2),
         # and its phase differences are non-integral.  Transfer runs around the
         # triangle at 2 pi / (3 sqrt3) (r = 2/3) and against it at twice that;
@@ -547,13 +546,41 @@ class TestDecide:
     def test_bad_vertices(self):
         dec = decompose(A_P3)
         with pytest.raises(VertexCoincide):
-            decide(dec, 0, [2, 0])
+            decide(dec, [(0, 2), (0, 0)])
         for a, targets in ((0, [3]), (0, [-1]), (3, [0])):
             with pytest.raises(IndexError):
-                decide(dec, a, targets)
+                decide(dec, [(a, b) for b in targets])
 
     def test_no_targets(self):
-        assert decide(decompose(A_P3), 0, []) == []
+        assert decide(decompose(A_P3), []) == []
+
+    def test_one_call_equals_one_call_per_pair(self, small_connected_graphs):
+        # one batched weight test changes no bit of any verdict (repr prints
+        # every float exactly), and the verdicts follow the order of the pairs
+        rng = np.random.default_rng(14)
+        for n in range(2, 7):
+            for g in small_connected_graphs[n]:
+                pairs = [(a, b) for a in range(n) for b in range(n) if b != a]
+                for model in MODELS:
+                    dec = decompose(model_hamiltonian(g, model))
+                    batched = decide(dec, pairs)
+                    single = [decide(dec, [p])[0] for p in pairs]
+                    assert batched == single
+                    assert list(map(repr, batched)) == list(map(repr, single))
+                    assert list(map(repr, decide(dec, np.array(pairs)))) == list(map(repr, single))
+                    order = rng.permutation(len(pairs))
+                    shuffled = decide(dec, [pairs[i] for i in order])
+                    assert list(map(repr, shuffled)) == [repr(single[i]) for i in order]
+
+    def test_bad_pairs(self):
+        dec = decompose(A_P3)
+        # a float or bool vertex is not read as the integer it rounds to
+        for pairs in ([(0, 1.5)], [(0, 2.0)], [(False, True)], [(0, 1), (1, 2.0)]):
+            with pytest.raises(IndexError):
+                decide(dec, pairs)
+        for pairs in ([(0, 1, 2)], [0, 2], [[(0, 2)]]):
+            with pytest.raises(ValueError, match="pairs"):
+                decide(dec, pairs)
 
 
 def test_check_transfer_calls_eigh_once(eigh_calls):
