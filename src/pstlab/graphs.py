@@ -30,9 +30,11 @@ def _label(x) -> int:
 
 
 def _require_vertices(n: int, vertices):
-    """Raise IndexError unless vertices, an array of any shape, holds integers in 0..n-1."""
+    """Raise IndexError unless vertices, an array of any shape, holds integers in 0..n-1;
+    a bool is not one, though np.asarray reads a bool among ints as 0 or 1."""
     v = np.asarray(vertices)
-    if v.dtype.kind not in "iu" or ((v < 0) | (v >= n)).any():
+    if (v.dtype.kind not in "iu" or ((v < 0) | (v >= n)).any() or v is not vertices
+            and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(vertices, dtype=object).flat)):
         raise IndexError(f"vertex out of range 0..{n - 1}")
 
 

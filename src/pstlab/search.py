@@ -179,10 +179,11 @@ def _analyze_graph(g: Graph, models) -> tuple:
     records, undecided = [], []
     g6 = encode_graph6(g)
     pairs = _pairs(g.n)
+    pair_array = np.array(pairs)  # an integer array, which decide checks at once
     for model in models:
         hint = model_hamiltonian(g, model)
         dec = decompose(hint)
-        for (a, b), verdict in zip(pairs, decide(dec, pairs)):
+        for (a, b), verdict in zip(pairs, decide(dec, pair_array)):
             if verdict.status == UNDECIDED:
                 undecided.append((g6, model, a, b, verdict.reason))
             if not verdict.is_perfect:

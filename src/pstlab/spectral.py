@@ -147,35 +147,49 @@ def _decomposition(h) -> SpectralDecomposition:
 def integer_char_poly(h) -> list:
     """Coefficients [a_0, ..., a_n] of det(lambda*I - H), exact integers.
 
-    Faddeev-LeVerrier with arbitrary-precision Python integers, held in an
-    object array so that the matrix products run in numpy's loop; every
-    division by the step index is exact.  Raises ValueError unless every
-    entry is a finite integer (integer-valued floats are accepted).
+    Faddeev-LeVerrier, with the matrix products in numpy's loop; every
+    division by the step index is exact.  Every eigenvalue lies within R,
+    the largest absolute row sum, so n 2^n R^(n+1) bounds every entry,
+    partial sum and trace of the loop: it runs on int64 when that bound
+    fits, else on Python ints in an object array, with the same (Python int)
+    coefficients.  Raises ValueError unless every entry is a finite integer
+    (integer-valued floats are accepted).
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     n = h.shape[0]
-    try:
-        m = np.array([[int(x) for x in row] for row in h], dtype=object).reshape(n, n)
-    except (TypeError, ValueError, OverflowError):  # NaN, infinite, not a number
-        m = None
-    if m is None or (h.dtype.kind not in "biu" and not (m == h).all()):
-        raise ValueError("matrix entries must be finite integers")
-    diag = np.arange(n)
+    if h.dtype.kind in "biu":
+        m = h.astype(np.int64) if h.dtype == bool else h  # no Python bool in m
+    else:
+        try:
+            m = np.array([[int(x) for x in row] for row in h], dtype=object).reshape(n, n)
+        except (TypeError, ValueError, OverflowError):  # NaN, infinite, not a number
+            m = None
+        if m is None or not (m == h).all():
+            raise ValueError("matrix entries must be finite integers")
+    fits = n * 2**n * max(_row_sum_radius(m), 1) ** (n + 1) <= np.iinfo(np.int64).max
+    m = m.astype(np.int64 if fits else object, copy=False)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    mk = np.zeros((n, n), dtype=object)  # M_0 = 0
+    mk = np.zeros((n, n), dtype=m.dtype)  # M_0 = 0
     c = 1
     for k in range(1, n + 1):
         # M_k = A (M_{k-1} + c_{n-k+1} I)
-        mk[diag, diag] += c
+        mk.ravel()[::n + 1] += c  # mk is C-contiguous: ravel is a view
         mk = m.dot(mk)
-        tr = int(sum(mk[diag, diag]))
+        tr = int(mk.trace())
         assert tr % k == 0
         c = -tr // k
         coeffs[n - k] = c
     return coeffs
+
+
+def _row_sum_radius(h) -> int:
+    """R, the largest absolute row sum of the integer-valued matrix h, in Python ints."""
+    h = np.asarray(h)
+    ints = h.astype(object) if h.dtype.kind in "biu" else np.frompyfunc(int, 1, 1)(h)
+    return max(map(sum, np.abs(ints).tolist()), default=0)
 
 
 def is_integral_spectrum(h):
@@ -193,8 +207,7 @@ def is_integral_spectrum(h):
 def _char_poly_and_roots(h):
     """integer_char_poly(h), and its ascending integer roots or None."""
     coeffs = quotient = integer_char_poly(h)
-    # in exact integers: a float row sum could round below a root at +-R
-    radius = max((sum(map(abs, map(int, row))) for row in np.asarray(h).tolist()), default=0)
+    radius = _row_sum_radius(h)  # a float row sum could round below a root at +-R
     roots = []
     for r in range(-radius, radius + 1):
         # a nonzero integer root divides the constant term

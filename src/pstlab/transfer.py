@@ -115,50 +115,6 @@ def fidelity_curve(dec: SpectralDecomposition, a: int, b: int, times: np.ndarray
     return np.exp(-1j * np.outer(times, lams)) @ c
 
 
-REFINE_MAX_STEPS = 100  # bisection alone narrows a bracket 2^100-fold
-
-
-def refine_extrema(lams, coeffs, lo, hi, t):
-    """Local minima of |f(t)|, f(t) = sum_k c_k e^{-i lambda_k t},
-    one in each bracket [lo[j], hi[j]], starting from t[j].
-
-    Every bracket is refined at once by Newton's method on d|f|^2/dt, whose
-    derivatives are closed-form sums over the spectrum.  Each step first
-    shrinks the bracket to the side where d|f|^2/dt changes sign; a step that
-    would leave the bracket, or a second derivative of the wrong sign, falls
-    back to bisection.  A bracket stops when its step is at most
-    1e-14 + 4 eps |t|, the rounding level of t.  Returns (times, |f| there).
-    """
-    lams = np.asarray(lams, dtype=float)
-    c0 = np.asarray(coeffs, dtype=complex)
-    c1 = -1j * lams * c0
-    c2 = -lams * lams * c0
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    t = np.array(t, dtype=float)
-    active = np.arange(len(t))
-    for _ in range(REFINE_MAX_STEPS):
-        if not len(active):
-            break
-        ta = t[active]
-        e = np.exp(-1j * np.outer(ta, lams))
-        f, f1, f2 = e @ c0, e @ c1, e @ c2
-        # d|f|^2/dt and d^2|f|^2/dt^2
-        g1 = 2.0 * (f.real * f1.real + f.imag * f1.imag)
-        g2 = 2.0 * (_abs2(f1) + f.real * f2.real + f.imag * f2.imag)
-        rising = g1 > 0
-        hi[active[rising]] = ta[rising]
-        lo[active[~rising]] = ta[~rising]
-        la, ha = lo[active], hi[active]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = ta - g1 / g2
-        newton = (g2 > 0) & (step >= la) & (step <= ha)
-        step = np.where(newton, step, 0.5 * (la + ha))
-        t[active] = step
-        active = active[np.abs(step - ta) > 1e-14 + 4.0 * np.finfo(float).eps * np.abs(ta)]
-    return t, np.abs(np.exp(-1j * np.outer(t, lams)) @ c0)
-
-
 # -- the eigenspace weight test -------------------------------------------------
 
 
@@ -212,13 +168,13 @@ def decide(dec: SpectralDecomposition, pairs) -> list:
     IndexError for a vertex that is not an integer in 0..n-1, and ValueError
     when pairs is not a sequence of pairs.
     """
-    pairs = np.asarray(pairs)
-    if not pairs.size:
+    array = np.asarray(pairs)
+    if not array.size:
         return []
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"pairs must be (source, target) pairs, got shape {pairs.shape}")
-    _require_vertices(dec.n, pairs)
-    sources, targets = pairs.T
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise ValueError(f"pairs must be (source, target) pairs, got shape {array.shape}")
+    _require_vertices(dec.n, pairs)  # as given, where a bool is still a bool
+    sources, targets = array.T
     if (sources == targets).any():
         raise VertexCoincide("source and target must differ")
     supported, ratios, failed = weight_test(dec, sources, targets)
@@ -226,7 +182,7 @@ def decide(dec: SpectralDecomposition, pairs) -> list:
     num_supported = supported.sum(axis=1).tolist()
     mismatch = {}  # first failing eigenspace -> its shared verdict
     verdicts = []
-    for j, ((a, b), k, m) in enumerate(zip(pairs.tolist(), first_failed, num_supported)):
+    for j, ((a, b), k, m) in enumerate(zip(array.tolist(), first_failed, num_supported)):
         if k >= 0:
             verdict = mismatch.get(k)
             if verdict is None:

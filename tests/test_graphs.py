@@ -118,9 +118,11 @@ class TestDistance:
         with pytest.raises(IndexError):
             distance(P3, 0, 3)
 
-    @pytest.mark.parametrize("u,v", [(False, True), (0, 1.0), (-1, 0)])
+    @pytest.mark.parametrize("u,v", [(False, True), (0, 1.0), (-1, 0), (0, True), (True, 2),
+                                     (0, np.True_)])
     def test_vertex_that_is_not_a_label(self, u, v):
-        # the one vertex check of the decision path; (False, True) was read as (0, 1)
+        # the one vertex check of the decision path; (False, True) was read as
+        # (0, 1), and a bool among ints as 0 or 1
         with pytest.raises(IndexError):
             distance(P3, u, v)
 

@@ -145,6 +145,13 @@ class TestSupportComponents:
             with pytest.raises(IndexError):
                 dec.pair_coefficients(v, v)
 
+    def test_bool_vertex(self):
+        # np.asarray reads (0, True) as (0, 1); indexing by True is a mask
+        dec = decompose(np.eye(2))
+        for a, b in ((0, True), (True, 1), (False, np.True_)):
+            with pytest.raises(IndexError, match="vertex out of range"):
+                dec.pair_coefficients(a, b)
+
 
 def reference_char_poly(h):
     """Faddeev-LeVerrier over nested lists of Python ints."""
@@ -202,6 +209,74 @@ class TestCharPoly:
         assert coeffs == expected
         assert max(abs(c) for c in coeffs) > 2**63
         assert all(type(c) is int for c in coeffs)
+
+    @given(
+        n=st.integers(1, 12),
+        shape=st.sampled_from(["general", "symmetric", "triangular"]),
+        bits=st.integers(0, 24),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_both_sides_of_the_bound(self, n, shape, bits, data):
+        # n 2^n R^(n+1) against the int64 limit: int64 below it, Python ints above
+        entries = data.draw(st.lists(st.integers(-(2**bits), 2**bits),
+                                     min_size=n * n, max_size=n * n))
+        mat = np.array(entries, dtype=np.int64).reshape(n, n)
+        if shape == "symmetric":
+            mat = np.triu(mat) + np.triu(mat, 1).T
+        elif shape == "triangular":
+            mat = np.triu(mat)
+        coeffs = integer_char_poly(mat)
+        assert coeffs == reference_char_poly(mat)
+        assert all(type(c) is int for c in coeffs)
+
+    @pytest.mark.parametrize("n", [2, 8, 12])
+    def test_loop_dtype_at_the_bound(self, n, monkeypatch):
+        # the largest R whose bound fits, and R + 1; row sums (R - 1) + |-1|
+        radius = 1
+        while n * 2**n * (radius + 1) ** (n + 1) <= np.iinfo(np.int64).max:
+            radius += 1
+        dtypes = []
+        zeros = np.zeros
+
+        def spy(shape, dtype=float):
+            dtypes.append(np.dtype(dtype))
+            return zeros(shape, dtype=dtype)
+
+        monkeypatch.setattr(np, "zeros", spy)
+        for r, dtype in ((radius, np.int64), (radius + 1, object)):
+            mat = (r - 1) * np.eye(n, dtype=np.int64) - np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
+            assert np.abs(mat).sum(axis=1).max() == r
+            coeffs = integer_char_poly(mat)
+            assert dtypes.pop() == dtype
+            assert coeffs == reference_char_poly(mat)
+            assert all(type(c) is int for c in coeffs)
+
+    def test_int64_path_gives_python_ints(self):
+        # Q4: n 2^n R^(n+1) = 2^54 fits, and the coefficients reach 4352
+        mat = adjacency_hamiltonian(hypercube_graph(4))
+        coeffs = integer_char_poly(mat)
+        assert coeffs == reference_char_poly(mat)
+        assert all(type(c) is int for c in coeffs)
+        assert is_integral_spectrum(mat) == (True, sorted(4 - 2 * k for k in range(5)
+                                                         for _ in range(math.comb(4, k))))
+
+    def test_entries_beyond_the_bound(self):
+        # |-2^63| overflows int64 as an absolute value; R is summed in Python ints
+        mat = np.array([[-(2**63), 0], [0, 1]], dtype=np.int64)
+        assert integer_char_poly(mat) == [-(2**63), 2**63 - 1, 1]
+        big = np.array([[0, 2**63 + 5], [1, 0]], dtype=np.uint64)
+        assert integer_char_poly(big) == [-(2**63 + 5), 0, 1]
+
+    def test_bool_and_unsigned_dtypes(self):
+        a = adjacency_hamiltonian(K3)
+        for mat in (a.astype(bool), a.astype(np.uint8), a.astype(np.uint64),
+                    a.astype(bool).astype(object)):
+            coeffs = integer_char_poly(mat)
+            assert coeffs == [-2, -3, 0, 1]
+            assert all(type(c) is int for c in coeffs)
+            assert is_integral_spectrum(mat) == (True, [-1, -1, 2])
+        assert integer_char_poly(np.array([[0, 200], [200, 0]], dtype=np.uint8)) == [-40000, 0, 1]
 
     def test_evaluates_to_zero_at_eigenvalues(self, small_connected_graphs):
         for n in range(2, 7):

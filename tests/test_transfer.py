@@ -34,9 +34,9 @@ from pstlab.transfer import (
     NotBipartite,
     PhaseUndefined,
     _bezout,
-    refine_extrema,
     weight_test,
 )
+from pstlab.limits import refine_extrema
 
 from pstlab.hamiltonians import MODELS
 
@@ -578,6 +578,14 @@ class TestDecide:
         for pairs in ([(0, 1.5)], [(0, 2.0)], [(False, True)], [(0, 1), (1, 2.0)]):
             with pytest.raises(IndexError):
                 decide(dec, pairs)
+
+    def test_bool_vertex_among_ints(self):
+        # np.asarray reads [(0, True)] as the int64 pair (0, 1)
+        dec = decompose(A_P3)
+        for pairs in ([(0, True)], [(0, 2), (True, 2)], [(0, np.True_)], ((2, False),)):
+            with pytest.raises(IndexError):
+                decide(dec, pairs)
+        assert decide(dec, np.array([(0, 2)]))[0].is_perfect
         for pairs in ([(0, 1, 2)], [0, 2], [[(0, 2)]]):
             with pytest.raises(ValueError, match="pairs"):
                 decide(dec, pairs)
