@@ -51,7 +51,6 @@ from .transfer import (
     NotPerfect,
     TransferVerdict,
     VertexCoincide,
-    bipartite_phase_class,
     check_transfer,
     decide,
     evolve,
@@ -103,7 +102,7 @@ __all__ = [
     "is_integral_spectrum", "real_gcd",
     # transfer
     "NO_TRANSFER", "PERFECT", "UNDECIDED", "NotPerfect", "TransferVerdict",
-    "VertexCoincide", "bipartite_phase_class", "check_transfer", "decide", "evolve",
+    "VertexCoincide", "check_transfer", "decide", "evolve",
     "fidelity", "fidelity_curve", "symmetry_operator",
     # limits
     "DiameterBoundsReport", "RateReport", "autocorrelation_zeros",

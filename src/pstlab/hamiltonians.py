@@ -30,8 +30,7 @@ def adjacency_hamiltonian(g: Graph) -> np.ndarray:
 
 def laplacian_hamiltonian(g: Graph) -> np.ndarray:
     """H1 = L = D - A for the uniformly coupled Heisenberg model."""
-    a = g.adjacency()
-    return np.diag(a.sum(axis=1)) - a
+    return _model_matrix(g.adjacency(), "laplacian")
 
 
 MODELS = ("adjacency", "laplacian")  # the uniformly coupled models, by name
@@ -39,10 +38,19 @@ MODELS = ("adjacency", "laplacian")  # the uniformly coupled models, by name
 
 def model_hamiltonian(g: Graph, model: str) -> np.ndarray:
     """The int64 matrix of a uniformly coupled model, named as in MODELS."""
+    return _model_matrix(g.adjacency(), model)
+
+
+def _model_matrix(a: np.ndarray, model: str) -> np.ndarray:
+    """The matrix of a model named in MODELS, from the adjacency matrix a, or
+    from each matrix of a stack of them: A itself, or L = D - A."""
     if model == "adjacency":
-        return adjacency_hamiltonian(g)
+        return a
     if model == "laplacian":
-        return laplacian_hamiltonian(g)
+        lap = -a
+        diagonal = np.arange(a.shape[-1])
+        lap[..., diagonal, diagonal] += a.sum(axis=-1)
+        return lap
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .graphs import Graph, diameter, distance, support_graph
 from .hamiltonians import laplacian_hamiltonian
-from .spectral import _decomposition, decompose
+from .spectral import _decompose_one, _decomposition, decompose
 from .transfer import NonRealHamiltonian, NotPerfect, _abs2, decide
 
 
@@ -126,7 +126,7 @@ def rate_report(h, a: int, b: int) -> RateReport:
     the report.  Raises NotPerfect, carrying the verdict, when transfer from
     a to b is not decided perfect.
     """
-    dec = decompose(h)
+    dec = _decompose_one(h)
     verdict = decide(dec, [(a, b)])[0]
     if not verdict.is_perfect:
         raise NotPerfect("rate report requires a Perfect verdict", verdict)
@@ -154,7 +154,7 @@ def routing_impossibility_scan(h, a: int) -> dict:
     RoutingViolation with the evidence in the message.  Each target is
     decided as check_transfer decides it, on one decomposition.
     """
-    dec = decompose(h)
+    dec = _decompose_one(h)
     if not dec.real:
         raise NonRealHamiltonian("routing scan is defined for real Hamiltonians")
     pairs = [(a, c) for c in range(dec.n) if c != a]

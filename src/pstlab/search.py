@@ -3,8 +3,11 @@
 Connected graphs up to 7 vertices are enumerated one representative per
 isomorphism class (canonical form: lexicographically minimal upper-triangle
 bitstring over all vertex permutations).  Larger corpora are ingested from
-graph6 streams.  Census results persist as JSON Lines, one record per
-(graph, model, pair) with perfect transfer.
+graph6 streams.  The census decides its graphs in chunks: the matrices of
+both models of every graph of one size in a chunk go to one decompose call
+and all their pairs to one decide call.  Census results persist as JSON
+Lines, one record per (graph, model, pair) with perfect transfer, in an
+order that does not depend on the chunks.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Graph, bipartite_coloring, distance, encode_graph6, parse_graph6
-from .hamiltonians import MODELS, model_hamiltonian
+from .hamiltonians import MODELS, _model_matrix
 from .limits import autocorrelation_zeros
 from .spectral import decompose, is_integral_spectrum
-from .transfer import UNDECIDED, decide
+from .transfer import NO_TRANSFER, UNDECIDED, decide
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +45,14 @@ class MalformedRecord(ValueError):
 
 def _pairs(n: int) -> list:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+@lru_cache(maxsize=None)
+def _pair_array(n: int) -> np.ndarray:
+    """_pairs(n) as a read-only (pairs x 2) int64 array, which decide checks at once."""
+    array = np.array(_pairs(n), dtype=np.int64).reshape(-1, 2)
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=None)
@@ -173,57 +184,91 @@ class CensusResult:
     failures: list  # (graph6, error message)
 
 
-def _analyze_graph(g: Graph, models) -> tuple:
-    """Records and undecided pairs of one graph: one decomposition per model,
-    and the fields that only a record reads only for a record."""
+_CHUNK = 64  # graphs the serial census decides in one pass
+
+
+def _analyze_chunk(graphs, models) -> tuple:
+    """Records and undecided pairs of a list of graphs, in one pass per size.
+
+    Each graph's adjacency matrix is built once and each model's matrix from
+    it; one decompose call decomposes every (model, graph) matrix of a size
+    and one decide call tests every pair a < b on all of them.  The fields
+    that only a record reads, and the graph6 label, are computed only when
+    a graph has a record or an undecided pair.
+    """
     records, undecided = [], []
-    g6 = encode_graph6(g)
-    pairs = _pairs(g.n)
-    pair_array = np.array(pairs)  # an integer array, which decide checks at once
-    for model in models:
-        hint = model_hamiltonian(g, model)
-        dec = decompose(hint)
-        for (a, b), verdict in zip(pairs, decide(dec, pair_array)):
-            if verdict.status == UNDECIDED:
-                undecided.append((g6, model, a, b, verdict.reason))
-            if not verdict.is_perfect:
-                continue
-            records.append(SearchRecord(
-                graph6=g6,
-                n=g.n,
-                model=model,
-                source=a,
-                target=b,
-                t0=verdict.t0,
-                transfer_phase=verdict.transfer_phase,
-                D=distance(g, a, b),
-                M=dec.num_eigenspaces,
-                l=len(autocorrelation_zeros(dec, a, verdict.t0)),
-                integral_spectrum=is_integral_spectrum(hint)[0],
-                bipartite=bipartite_coloring(g).valid,
-                regular=g.is_regular(),
-                max_degree=g.max_degree(),
-            ))
+    if not models:
+        return records, undecided
+    by_size = {}
+    for g in graphs:
+        by_size.setdefault(g.n, []).append(g)
+    for n, group in by_size.items():
+        pairs = _pairs(n)
+        adjacency = np.stack([g.adjacency() for g in group])
+        hams = np.concatenate([_model_matrix(adjacency, model) for model in models])
+        decs = decompose(hams)
+        verdicts = decide(decs, _pair_array(n))
+        labels = [None] * len(group)  # graph6 of each graph, made on first use
+        for i, (dec, pair_verdicts) in enumerate(zip(decs, verdicts)):
+            model = models[i // len(group)]
+            j = i % len(group)
+            g = group[j]
+            for (a, b), verdict in zip(pairs, pair_verdicts):
+                if verdict.status == NO_TRANSFER:
+                    continue
+                if labels[j] is None:
+                    labels[j] = encode_graph6(g)
+                if verdict.status == UNDECIDED:
+                    undecided.append((labels[j], model, a, b, verdict.reason))
+                    continue
+                records.append(SearchRecord(
+                    graph6=labels[j],
+                    n=n,
+                    model=model,
+                    source=a,
+                    target=b,
+                    t0=verdict.t0,
+                    transfer_phase=verdict.transfer_phase,
+                    D=distance(g, a, b),
+                    M=dec.num_eigenspaces,
+                    l=len(autocorrelation_zeros(dec, a, verdict.t0)),
+                    integral_spectrum=is_integral_spectrum(hams[i])[0],
+                    bipartite=bipartite_coloring(g).valid,
+                    regular=g.is_regular(),
+                    max_degree=g.max_degree(),
+                ))
     return records, undecided
 
 
-def _census_graph(g: Graph, models) -> tuple:
-    """(records, undecided, failure) of one graph; failure is None, or
-    (graph6, message) when the analysis raised, so one bad graph does not
-    abort the census on either the serial or the parallel path."""
+def _census_chunk(graphs, models) -> tuple:
+    """(records, undecided, failures) of a list of graphs; failures holds
+    (graph6, message) for each graph whose analysis raised.  A chunk that
+    raises is analysed again graph by graph, so each failure is its own
+    graph's and one bad graph does not abort the census on either the
+    serial or the parallel path."""
     try:
-        return (*_analyze_graph(g, models), None)
+        return (*_analyze_chunk(graphs, models), [])
     except Exception as exc:  # noqa: BLE001 - stream must not abort
-        return [], [], (encode_graph6(g), str(exc))
+        if len(graphs) == 1:
+            return [], [], [(encode_graph6(graphs[0]), str(exc))]
+    records, undecided, failures = [], [], []
+    for g in graphs:
+        recs, und, fail = _census_chunk([g], models)
+        records += recs
+        undecided += und
+        failures += fail
+    return records, undecided, failures
 
 
 def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
     """Run the transfer decision over every (graph, model, vertex pair).
 
-    Per-graph failures are logged and skipped; the record list is stably
-    sorted by (graph6, model, source, target) so repeated runs are
-    byte-identical when serialized.  workers defaults to the CPU count;
-    fewer than 1 raises ValueError.
+    Graphs are decided in chunks, each in one pass per size; the serial
+    chunk holds at most _CHUNK graphs.  Per-graph failures are logged and
+    skipped; the record list is stably sorted by (graph6, model, source,
+    target) so repeated runs are byte-identical when serialized, whatever
+    the chunking.  workers defaults to the CPU count; fewer than 1 raises
+    ValueError.
     """
     if workers is None:
         import os
@@ -237,21 +282,26 @@ def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
     if workers > 1 and len(graphs) > 8:
         from concurrent.futures import ProcessPoolExecutor
 
+        # a few chunks per worker: a task per graph costs more than the graph
+        size = -(-len(graphs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # a few chunks per worker: a task per graph costs more than the graph
-            outputs = list(pool.map(_census_graph, graphs, itertools.repeat(models),
-                                    chunksize=-(-len(graphs) // (4 * workers))))
+            outputs = list(pool.map(_census_chunk, _chunks(graphs, size),
+                                    itertools.repeat(models)))
     else:
-        outputs = (_census_graph(g, models) for g in graphs)
-    for recs, und, failure in outputs:
-        if failure is not None:
+        outputs = (_census_chunk(chunk, models) for chunk in _chunks(graphs, _CHUNK))
+    for recs, und, failures in outputs:
+        for failure in failures:
             log.warning("census failed on %s: %s", *failure)
-            result.failures.append(failure)
+        result.failures.extend(failures)
         result.records.extend(recs)
         result.undecided.extend(und)
     result.records.sort(key=SearchRecord.sort_key)
     result.undecided.sort()
     return result
+
+
+def _chunks(items: list, size: int) -> list:
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 # -- persistence -------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Spectral engine: degeneracy-grouped eigendecompositions, exact integer
 characteristic polynomials, integrality tests, and real-number gcd detection.
+
+decompose takes one Hermitian matrix, or a stack of them of one size, which
+it validates matrix by matrix and decomposes by one eigh call per kind (real
+or complex); each decomposition of a stack is the one its matrix alone gets.
 """
 
 from __future__ import annotations
@@ -77,68 +81,104 @@ class SpectralDecomposition:
 
 def require_hermitian(h) -> np.ndarray:
     """h as a float64 array, or a complex128 one when its dtype is complex,
-    once it is known to be a nonempty, square, finite and Hermitian matrix.
+    once it is known to be a nonempty, square, finite and Hermitian matrix,
+    or a stack of such matrices of one size, of shape (m, n, n).
 
-    Hermiticity is tested on the real and imaginary parts, against
-    HERMITIAN_RTOL times their largest entry: a matrix built as D H D^dag
-    carries a few ulps of rounding, while eigh, reading only one triangle,
-    would silently answer for a different matrix than a genuinely
+    Hermiticity is tested on the real and imaginary parts of each matrix,
+    against HERMITIAN_RTOL times their largest entry: a matrix built as
+    D H D^dag carries a few ulps of rounding, while eigh, reading only one
+    triangle, would silently answer for a different matrix than a genuinely
     non-Hermitian input.
     """
     h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2] or not h.size:
         raise ValueError(f"Hamiltonian must be a nonempty square matrix, got shape {h.shape}")
+    integer = h.dtype.kind in "biu"  # every integer is finite as a float
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
-    if not np.isfinite(h).all():
+    if not integer and not np.isfinite(h).all():
         raise ValueError("Hamiltonian has non-finite entries")
     # the real part symmetric, the imaginary part antisymmetric
-    re = h.real
-    asym = np.abs(re - re.T).max()
-    scale = np.abs(re).max()
-    if np.iscomplexobj(h):
-        im = h.imag
-        asym = max(asym, np.abs(im + im.T).max())
-        scale = max(scale, np.abs(im).max())
-    if asym > HERMITIAN_RTOL * scale:
-        raise ValueError(f"Hamiltonian is not Hermitian (largest asymmetry {asym:.3g})")
+    parts = (h.real, h.imag) if np.iscomplexobj(h) else (h.real,)
+    asym = np.abs(parts[0] - parts[0].swapaxes(-2, -1))
+    if len(parts) == 2:
+        asym = np.maximum(asym, np.abs(parts[1] + parts[1].swapaxes(-2, -1)))
+    if asym.any():  # an exactly Hermitian matrix passes at any scale
+        each = (-2, -1)
+        asym = asym.max(axis=each)
+        scale = np.max([np.abs(part).max(axis=each) for part in parts], axis=0)
+        bad = asym > HERMITIAN_RTOL * scale
+        if bad.any():
+            raise ValueError(
+                f"Hamiltonian is not Hermitian (largest asymmetry {asym[bad].max():.3g})")
     return h
 
 
-def decompose(h) -> SpectralDecomposition:
+def decompose(h):
     """Eigendecompose a Hermitian matrix, grouping near-equal eigenvalues.
 
     h is validated by require_hermitian first.  An h without imaginary part,
     of either dtype, goes to the real symmetric solver, and its eigenvectors
     are float64.  Consecutive eigenvalues closer than
     GROUPING_TOL * max(1, spectral radius) are merged into one eigenspace.
+
+    A stack h of shape (m, n, n) gives the list of its m decompositions, each
+    equal bit for bit to that of its matrix alone: one eigh call decomposes
+    the matrices without imaginary part, and one more those with one.  A
+    single matrix is decomposed as the stack of one.
     """
     h = require_hermitian(h)
-    real = not h.imag.any()
+    stack = h.reshape(-1, *h.shape[-2:])
+    real = ~stack.imag.any(axis=(1, 2)) if np.iscomplexobj(stack) else None
+    if real is None or real.all():
+        decs = _decompose_stack(stack.real, True)
+    elif not real.any():
+        decs = _decompose_stack(stack, False)
+    else:  # each kind by its own solver, then back in stack order
+        kinds = {True: iter(_decompose_stack(stack[real].real, True)),
+                 False: iter(_decompose_stack(stack[~real], False))}
+        decs = [next(kinds[r]) for r in real.tolist()]
+    return decs if h.ndim == 3 else decs[0]
+
+
+def _decompose_stack(stack, real: bool) -> list:
+    """The decompositions of a validated (m, n, n) stack, by one eigh call."""
     try:
-        vals, vecs = np.linalg.eigh(h.real if real else h)
+        vals, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
+        n = stack.shape[-1]
         raise EigensolverFailure(
-            f"eigh failed on {h.shape[0]}x{h.shape[0]} matrix "
-            f"(max |entry| {np.abs(h).max():.3e}): {exc}"
+            f"eigh failed on {n}x{n} matrix "
+            f"(max |entry| {np.abs(stack).max():.3e}): {exc}"
         ) from exc
-    lam = vals.tolist()
-    scale = max(1.0, abs(lam[0]), abs(lam[-1]))
-    gap = GROUPING_TOL * scale
+    n = stack.shape[-1]
+    lams = vals.tolist()
     # an eigenspace is a run of eigenvalues whose consecutive gaps are <= gap
-    bounds = [0, *(np.nonzero(~(vals[1:] - vals[:-1] <= gap))[0] + 1).tolist(), len(lam)]
-    eigenvalues = tuple(
-        # np.mean's arithmetic (a sum, then one division) without its overhead
-        lam[s] if e - s == 1 else float(np.add.reduce(vals[s:e]) / (e - s))
-        for s, e in zip(bounds, bounds[1:])
-    )
+    gaps = [[GROUPING_TOL * max(1.0, abs(lam[0]), abs(lam[-1]))] for lam in lams]
+    splits = (~(vals[:, 1:] - vals[:, :-1] <= gaps)).tolist()
     # C order makes each row, vectors[v], a contiguous vector
-    return SpectralDecomposition(eigenvalues, np.ascontiguousarray(vecs), np.array(bounds[:-1]),
-                                 real)
+    vecs = np.ascontiguousarray(vecs)
+    decs = []
+    for i, (lam, split) in enumerate(zip(lams, splits)):
+        starts = [0, *(c for c, new in enumerate(split, 1) if new)]
+        eigenvalues = tuple(
+            # np.mean's arithmetic (a sum, then one division) without its overhead
+            lam[s] if e - s == 1 else float(np.add.reduce(vals[i, s:e]) / (e - s))
+            for s, e in zip(starts, [*starts[1:], n])
+        )
+        decs.append(SpectralDecomposition(eigenvalues, vecs[i], np.array(starts), real))
+    return decs
+
+
+def _decompose_one(h) -> SpectralDecomposition:
+    """decompose(h) for one matrix h, where a stack of them is a ValueError."""
+    if np.ndim(h) != 2:
+        raise ValueError(f"Hamiltonian must be a nonempty square matrix, got shape {np.shape(h)}")
+    return decompose(h)
 
 
 def _decomposition(h) -> SpectralDecomposition:
-    """h itself when it is a decomposition already, else decompose(h)."""
-    return h if isinstance(h, SpectralDecomposition) else decompose(h)
+    """h itself when it is a decomposition already, else _decompose_one(h)."""
+    return h if isinstance(h, SpectralDecomposition) else _decompose_one(h)
 
 
 # -- exact integer characteristic polynomial ---------------------------------
@@ -192,13 +232,19 @@ def _row_sum_radius(h) -> int:
     return max(map(sum, np.abs(ints).tolist()), default=0)
 
 
+_SCAN_RADIUS = 2**12  # largest R whose window [-R, R] is scanned integer by integer
+
+
 def is_integral_spectrum(h):
     """Decide exactly whether the integer matrix has all-integer eigenvalues.
 
     Returns (True, sorted integer roots with multiplicity) or (False, None).
-    Every eigenvalue lies within R, the largest absolute row sum (Gershgorin),
-    so the search for integer roots makes at most 2R + 1 + n divisions by
-    (x - r): R <= n - 1 for an adjacency matrix, R <= 2(n - 1) for a Laplacian.
+    Every eigenvalue lies within R, the largest absolute row sum (Gershgorin).
+    Up to R = _SCAN_RADIUS the search for integer roots tries every r in
+    [-R, R], so it makes at most 2R + 1 + n divisions by (x - r): R <= n - 1
+    for an adjacency matrix, R <= 2(n - 1) for a Laplacian.  Past it, the
+    candidates come from a bisection of the window (_root_candidates), whose
+    cost grows with log R, not R.
     """
     roots = _char_poly_and_roots(h)[1]
     return roots is not None, roots
@@ -208,8 +254,12 @@ def _char_poly_and_roots(h):
     """integer_char_poly(h), and its ascending integer roots or None."""
     coeffs = quotient = integer_char_poly(h)
     radius = _row_sum_radius(h)  # a float row sum could round below a root at +-R
+    if radius <= _SCAN_RADIUS:
+        candidates = range(-radius, radius + 1)
+    else:
+        candidates = _root_candidates(coeffs, radius)
     roots = []
-    for r in range(-radius, radius + 1):
+    for r in candidates:
         # a nonzero integer root divides the constant term
         while len(quotient) > 1 and (r == 0 or quotient[0] % r == 0):
             q, rem = _synth_div(quotient, r)
@@ -218,6 +268,45 @@ def _char_poly_and_roots(h):
             roots.append(r)
             quotient = q
     return coeffs, roots if len(quotient) == 1 else None
+
+
+def _root_candidates(coeffs, radius: int) -> list:
+    """Ascending integers x in [-R, R] such that (x - 1, x] may hold a root
+    of the polynomial, every root of which lies in [-R, R].
+
+    V(x), the sign changes of the Taylor coefficients of p at x, bounds the
+    number of roots above x, and V(lo) - V(hi) bounds the number in
+    (lo, hi] from above (Budan-Fourier), with equality when every root is
+    real, as every root of an integral spectrum is.  So a bisection of
+    [-R - 1, R] on integers that drops each interval with V(lo) = V(hi)
+    misses no root.  The drops V(lo) - V(hi) of the intervals of one level
+    add up to at most n, so it makes O(n log R) counts of n synthetic
+    divisions each.  The caller divides by each candidate exactly.
+    """
+    def above(x):
+        signs = []
+        quotient = coeffs
+        while len(quotient) > 1:  # the remainders are p(x), p'(x), p''(x)/2, ...
+            quotient, rem = _synth_div(quotient, x)
+            if rem:
+                signs.append(rem > 0)
+        signs.append(quotient[0] > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    found = []
+    intervals = [(-radius - 1, above(-radius - 1), radius, above(radius))]
+    while intervals:
+        lo, above_lo, hi, above_hi = intervals.pop()
+        if above_lo == above_hi:
+            continue
+        if hi - lo == 1:
+            found.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        above_mid = above(mid)
+        # the lower half is popped first, so found ascends
+        intervals += [(mid, above_mid, hi, above_hi), (lo, above_lo, mid, above_mid)]
+    return found
 
 
 def _synth_div(coeffs, r):

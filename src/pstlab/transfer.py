@@ -1,26 +1,28 @@
 """Perfect state transfer decision procedure and time evolution.
 
-decide tells, for any list of vertex pairs (a, b) on one decomposition,
-whether e^{-iHt0}|a> = e^{i phi}|b> is achievable for some t0, via the
-eigenspace weight/proportionality test and one exact phase test on the
-integer gap structure of the supported spectrum, for real and complex H
-alike; check_transfer is decide for one pair.  Every positive verdict is
+decide tells, for any list of vertex pairs (a, b) on one decomposition, or
+on each of several decompositions of one size at once, whether
+e^{-iHt0}|a> = e^{i phi}|b> is achievable for some t0, via the eigenspace
+weight/proportionality test and one exact phase test on the integer gap
+structure of the supported spectrum, for real and complex H alike;
+check_transfer is decide for one pair.  Every positive verdict is
 confirmed by direct evolution before it is returned.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, _require_vertices, bipartite_coloring, support_graph
+from .graphs import _require_vertices
 from .spectral import (
     CommensurabilityResult,
     SpectralDecomposition,
+    _decompose_one,
     _decomposition,
-    decompose,
     real_gcd,
 )
 
@@ -32,7 +34,6 @@ SUPPORT_TOL = 1e-9  # |P_k|v>| at or below this: eigenspace k does not support v
 WEIGHT_TOL = 1e-8  # allowed | |s_k| - 1 | and |P_k|b> - s_k P_k|a>|
 FIDELITY_TOL = 1e-9  # a fidelity of 1 - FIDELITY_TOL or more counts as perfect
 PHASE_REALNESS_TOL = 1e-7  # allowed distance of (phi_0 - phi_k) / pi from an integer
-PHASE_CLASS_TOL = 1e-9  # bipartite_phase_class: largest part that must vanish
 
 
 class VertexCoincide(ValueError):
@@ -51,15 +52,7 @@ class PhaseUndefined(ValueError):
     pass
 
 
-class NotBipartite(ValueError):
-    pass
-
-
 class NonRealHamiltonian(ValueError):
-    pass
-
-
-class NonzeroDiagonal(ValueError):
     pass
 
 
@@ -105,7 +98,13 @@ def fidelity(h, a: int, b: int, t: float):
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
+    if z.dtype.kind != "c":
+        return z * z  # the bits of z.real * z.real + 0.0, without the zero array
     return z.real * z.real + z.imag * z.imag
+
+
+def _conj(z: np.ndarray) -> np.ndarray:
+    return z.conj() if z.dtype.kind == "c" else z
 
 
 def fidelity_curve(dec: SpectralDecomposition, a: int, b: int, times: np.ndarray) -> np.ndarray:
@@ -118,31 +117,58 @@ def fidelity_curve(dec: SpectralDecomposition, a: int, b: int, times: np.ndarray
 # -- the eigenspace weight test -------------------------------------------------
 
 
-def weight_test(dec: SpectralDecomposition, sources, targets):
+def _side_by_side(dec) -> tuple:
+    """(eigenvector columns, first column of each eigenspace) of dec, a
+    decomposition or a list of decompositions of one size and kind (real or
+    complex), with the columns of each after those of the one before."""
+    if isinstance(dec, SpectralDecomposition):
+        return dec.vectors, dec.starts
+    decs = list(dec)
+    if len(decs) == 1:
+        return decs[0].vectors, decs[0].starts
+    if not decs:
+        raise ValueError("no decomposition given")
+    if len({(d.n, d.real) for d in decs}) > 1:
+        raise ValueError("decompositions must share their size and their kind (real or complex)")
+    starts = np.concatenate([d.starts for d in decs])
+    # the columns of decs[i] start at i * n
+    n = decs[0].n
+    starts += np.repeat(np.arange(0, len(decs) * n, n), [d.num_eigenspaces for d in decs])
+    return np.concatenate([d.vectors for d in decs], axis=1), starts
+
+
+def weight_test(dec, sources, targets):
     """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for each pair (sources[j], targets[j]).
 
-    Returns (supported, ratios, failed), (pairs x eigenspaces) arrays: both
-    vertices have weight on P_k; s_k = P_k[a,b] / P_k[a,a] where supported;
-    eigenspace k fails the test, by supporting just one of the two vertices
-    or by breaking the proportionality.
+    dec is a decomposition, or a list of decompositions of one size and kind,
+    whose eigenspaces then follow one another in that order.  Returns
+    (supported, ratios, failed), (pairs x eigenspaces) arrays: both vertices
+    have weight on P_k; s_k = P_k[a,b] / P_k[a,a] where supported; eigenspace
+    k fails the test, by supporting just one of the two vertices or by
+    breaking the proportionality.
 
-    P_k[a,b] sums V[a,m] conj(V[b,m]) over the columns m of eigenspace k.  On
-    an eigenspace of dimension two or more, |s_k| = 1 allows P_k[b,b] >
+    P_k[a,b] sums V[a,m] conj(V[b,m]) over the columns m of eigenspace k.  One
+    np.add.reduceat takes these sums over the columns of every decomposition
+    side by side, and each sum is the one that decomposition alone would give.
+    On an eigenspace of dimension two or more, |s_k| = 1 allows P_k[b,b] >
     P_k[a,a], so there the residual |P_k|b> - s_k P_k|a>| is bounded too, from
     the eigenbasis coordinates, since P_k[b,b] - |P_k[a,b]|^2 / P_k[a,a]
-    would keep only half the digits.  Every array is (pairs x n) at most.
+    would keep only half the digits.  When some decomposition is degenerate,
+    the residual is bounded on every eigenspace: on one of dimension one it
+    is a few ulps, so that bound changes no verdict.  Every array is
+    (pairs x columns) at most.
     """
-    starts = dec.starts
-    va = dec.vectors[sources]
-    vb = dec.vectors[targets]
-    sq_a = np.add.reduceat(_abs2(va), starts, axis=1)
-    sup_a = sq_a > SUPPORT_TOL * SUPPORT_TOL
-    sup_b = np.add.reduceat(_abs2(vb), starts, axis=1) > SUPPORT_TOL * SUPPORT_TOL
-    s = np.add.reduceat(vb.conj() * va, starts, axis=1) / np.where(sup_a, sq_a, 1.0)
+    vectors, starts = _side_by_side(dec)
+    va, vb = rows = vectors[np.array((sources, targets))]
+    sq = np.add.reduceat(_abs2(rows), starts, axis=2)  # P_k[a,a] and P_k[b,b]
+    sup_a, sup_b = sq > SUPPORT_TOL * SUPPORT_TOL
+    s = np.add.reduceat(_conj(vb) * va, starts, axis=1) / np.where(sup_a, sq[0], 1.0)
     both = sup_a & sup_b
     off = np.abs(np.abs(s) - 1.0) > WEIGHT_TOL
-    if dec.degenerate:
-        residual_sq = np.add.reduceat(_abs2(vb - s.conj()[:, dec.column_space] * va),
+    columns = vectors.shape[1]
+    if len(starts) < columns:  # some eigenspace has dimension two or more
+        widths = np.append(starts[1:], columns) - starts  # the dimension of each eigenspace
+        residual_sq = np.add.reduceat(_abs2(vb - np.repeat(_conj(s), widths, axis=1) * va),
                                       starts, axis=1)
         off |= residual_sq > WEIGHT_TOL * WEIGHT_TOL
     return both, s, (sup_a != sup_b) | (both & off)
@@ -156,44 +182,59 @@ _SINGLE_EIGENSPACE = TransferVerdict(NO_TRANSFER, reason="weight mismatch (singl
 
 def check_transfer(h, a: int, b: int) -> TransferVerdict:
     """Decide perfect state transfer from vertex a to vertex b under H."""
-    return decide(decompose(h), [(a, b)])[0]
+    return decide(_decompose_one(h), [(a, b)])[0]
 
 
-def decide(dec: SpectralDecomposition, pairs) -> list:
+def decide(dec, pairs) -> list:
     """The verdict for a -> b, for every pair (a, b) in pairs, on one decomposition.
 
     One weight test serves every pair; the phase stage runs only for the
     pairs that pass it.  Pairs failing it share one no-transfer verdict per
-    first failing eigenspace.  Raises VertexCoincide for a pair (a, a),
+    first failing eigenspace.  dec may also be a list of decompositions of
+    one size and kind: then one weight test serves every pair on each of
+    them, and the result holds, for each decomposition, the list of verdicts
+    that it alone would give.  Raises VertexCoincide for a pair (a, a),
     IndexError for a vertex that is not an integer in 0..n-1, and ValueError
     when pairs is not a sequence of pairs.
     """
+    one = isinstance(dec, SpectralDecomposition)
+    decs = [dec] if one else list(dec)
     array = np.asarray(pairs)
-    if not array.size:
-        return []
+    if not array.size or not decs:
+        return [] if one else [[] for _ in decs]
     if array.ndim != 2 or array.shape[1] != 2:
         raise ValueError(f"pairs must be (source, target) pairs, got shape {array.shape}")
-    _require_vertices(dec.n, pairs)  # as given, where a bool is still a bool
+    _require_vertices(decs[0].n, pairs)  # as given, where a bool is still a bool
     sources, targets = array.T
     if (sources == targets).any():
         raise VertexCoincide("source and target must differ")
-    supported, ratios, failed = weight_test(dec, sources, targets)
-    first_failed = np.where(failed.any(axis=1), failed.argmax(axis=1), -1).tolist()
-    num_supported = supported.sum(axis=1).tolist()
-    mismatch = {}  # first failing eigenspace -> its shared verdict
-    verdicts = []
-    for j, ((a, b), k, m) in enumerate(zip(array.tolist(), first_failed, num_supported)):
-        if k >= 0:
-            verdict = mismatch.get(k)
-            if verdict is None:
-                verdict = mismatch[k] = TransferVerdict(
-                    NO_TRANSFER, reason=f"weight mismatch at eigenvalue {dec.eigenvalues[k]:.6g}")
-        elif m < 2:
-            verdict = _SINGLE_EIGENSPACE
-        else:
-            verdict = _phase_verdict(dec, a, b, supported[j], ratios[j])
-        verdicts.append(verdict)
-    return verdicts
+    supported, ratios, failed = weight_test(decs, sources, targets)
+    # the eigenspaces of decs[i] are the columns offsets[i] to ends[i] - 1
+    ends = list(itertools.accumulate(d.num_eigenspaces for d in decs))
+    offsets = [0, *ends[:-1]]
+    # per (decomposition, pair): its first failing column, or ends[-1] if none fails
+    columns = np.where(failed, np.arange(ends[-1]), ends[-1])
+    first_failed = np.minimum.reduceat(columns, offsets, axis=1).T.tolist()
+    num_supported = np.add.reduceat(supported, offsets, axis=1).T.tolist()
+    pair_list = array.tolist()
+    mismatch = {}  # first failing column -> its shared verdict
+    out = []
+    for d, o, e, firsts, counts in zip(decs, offsets, ends, first_failed, num_supported):
+        verdicts = []
+        for j, ((a, b), k, m) in enumerate(zip(pair_list, firsts, counts)):
+            if k < e:
+                verdict = mismatch.get(k)
+                if verdict is None:
+                    verdict = mismatch[k] = TransferVerdict(
+                        NO_TRANSFER,
+                        reason=f"weight mismatch at eigenvalue {d.eigenvalues[k - o]:.6g}")
+            elif m < 2:
+                verdict = _SINGLE_EIGENSPACE
+            else:
+                verdict = _phase_verdict(d, a, b, supported[j, o:e], ratios[j, o:e])
+            verdicts.append(verdict)
+        out.append(verdicts)
+    return out[0] if one else out
 
 
 def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, supported: np.ndarray,
@@ -280,37 +321,3 @@ def symmetry_operator(dec: SpectralDecomposition, a: int, b: int) -> np.ndarray:
     space_phases[supported] = np.angle(ratios[0, supported])
     vecs = dec.vectors
     return (vecs * np.exp(1j * space_phases[dec.column_space])) @ vecs.conj().T
-
-
-# -- bipartite amplitude classification ------------------------------------------
-
-
-def bipartite_phase_class(g: Graph, h: np.ndarray, a: int, m: int, t: float):
-    """Classify <m|e^{-iHt}|a> as purely real or purely imaginary.
-
-    For a real Hamiltonian with zero diagonal on a bipartite coupling graph:
-    same-color targets give real amplitudes, opposite-color targets imaginary
-    ones.  The classification is asserted against the computed amplitude.
-    """
-    dec = decompose(h)
-    if not dec.real:
-        raise NonRealHamiltonian("bipartite phase classification needs a real H")
-    h = np.asarray(h)
-    if np.any(np.abs(np.diag(h)) > 0):
-        raise NonzeroDiagonal("on-site fields must vanish")
-    col = bipartite_coloring(g)
-    if not col.valid:
-        raise NotBipartite("coupling graph is not bipartite")
-    sg = support_graph(h)
-    if not sg.edges <= g.edges:
-        raise ValueError("Hamiltonian support exceeds the supplied graph")
-    state = np.zeros(dec.n, dtype=complex)
-    state[a] = 1.0
-    amp = evolve(dec, state, t)[m]
-    if col.colors[a] == col.colors[m]:
-        if abs(amp.imag) > PHASE_CLASS_TOL:
-            raise AssertionError(f"expected real amplitude, got {amp}")
-        return "purely-real", amp
-    if abs(amp.real) > PHASE_CLASS_TOL:
-        raise AssertionError(f"expected imaginary amplitude, got {amp}")
-    return "purely-imaginary", amp

@@ -7,6 +7,7 @@ import pytest
 from pstlab import (
     CensusResult,
     Graph,
+    SearchRecord,
     MalformedRecord,
     NTooLarge,
     canonical_form,
@@ -22,12 +23,35 @@ from pstlab import (
     write_records,
     write_records_csv,
 )
+from pstlab.search import _CHUNK
 
 class RaisingGraph(Graph):
     """A graph whose census analysis raises (module level, so it pickles)."""
 
     def is_regular(self):
         raise RuntimeError("analysis failed on purpose")
+
+
+class RaisingMatrixGraph(Graph):
+    """A graph whose adjacency matrix cannot be built, which fails the
+    stacked matrices of its whole chunk."""
+
+    def adjacency(self):
+        raise RuntimeError("no matrix on purpose")
+
+
+def graph_by_graph(graphs, models=("adjacency", "laplacian")) -> CensusResult:
+    """The census of each graph alone, merged as census merges its chunks."""
+    results = [census([g], models=models, workers=1) for g in graphs]
+    return CensusResult(
+        sorted((r for res in results for r in res.records), key=SearchRecord.sort_key),
+        sorted(u for res in results for u in res.undecided),
+        [f for res in results for f in res.failures])
+
+
+def census_bytes(result: CensusResult, path) -> bytes:
+    write_records(result.records, path)
+    return path.read_bytes()
 
 
 # number of connected graphs on n unlabeled vertices, n = 1..7
@@ -153,19 +177,48 @@ class TestCensus:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_graph_is_logged_not_fatal(self, workers, caplog):
         good = list(enumerate_connected_graphs(5))
-        bad = RaisingGraph(4, cycle_graph(4).edges)
-        # more than eight graphs, so workers=2 takes the process-pool path
-        result = census(good[:10] + [bad] + good[10:], workers=workers)
-        assert result.failures == [(encode_graph6(bad), "analysis failed on purpose")]
-        assert result.records == census(good, workers=1).records
-        assert encode_graph6(bad) in caplog.text
+        expected = census(good, workers=1).records
+        for bad, message in ((RaisingGraph(4, cycle_graph(4).edges), "analysis failed on purpose"),
+                             (RaisingMatrixGraph(5, path_graph(5).edges), "no matrix on purpose")):
+            # in the middle of a chunk, on both paths: more than eight graphs,
+            # so workers=2 takes the process-pool path
+            result = census(good[:10] + [bad] + good[10:], workers=workers)
+            assert result.failures == [(encode_graph6(bad), message)]
+            assert result.records == expected
+            assert encode_graph6(bad) in caplog.text
 
-    def test_one_eigendecomposition_per_model(self, eigh_calls):
+    def test_one_eigh_call_covers_both_models(self, eigh_calls):
         # K_{2,5}: its two-vertex side is the one perfect pair at n = 7
         result = census([parse_graph6("F?B~o")], workers=1)
         assert [(r.model, r.source, r.target) for r in result.records] == [
             ("adjacency", 5, 6)]
-        assert eigh_calls == [2]
+        assert eigh_calls == [1]
+
+    def test_one_eigh_call_per_serial_chunk(self, eigh_calls):
+        graphs = list(enumerate_connected_graphs(6))
+        census(graphs, workers=1)
+        assert eigh_calls == [-(-len(graphs) // _CHUNK)]
+
+    @pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_chunks_change_no_byte(self, size, tmp_path):
+        graphs = list(enumerate_connected_graphs(6))[-size:]
+        chunked = census(graphs, workers=1)
+        alone = graph_by_graph(graphs)
+        assert chunked.records
+        assert census_bytes(chunked, tmp_path / "a") == census_bytes(alone, tmp_path / "b")
+        assert (chunked.undecided, chunked.failures) == (alone.undecided, alone.failures)
+
+    def test_mixed_sizes_in_a_stream(self, tmp_path):
+        # the sizes interleave, so every chunk holds graphs of several sizes
+        by_size = [list(enumerate_connected_graphs(n)) for n in range(1, 7)]
+        graphs = [g for row in itertools.zip_longest(*by_size) for g in row if g is not None]
+        lines = [encode_graph6(g) for g in graphs]
+        for models in (("adjacency", "laplacian"), ("laplacian",)):
+            streamed = census(read_graph6_stream(lines), models=models, workers=1)
+            alone = graph_by_graph(graphs, models)
+            assert census_bytes(streamed, tmp_path / "a") == census_bytes(alone, tmp_path / "b")
+            assert (streamed.undecided, streamed.failures) == (alone.undecided, alone.failures)
+        assert census(graphs, models=(), workers=1) == CensusResult([], [], [])
 
     def test_record_fields_only_for_records(self, monkeypatch):
         import pstlab.search

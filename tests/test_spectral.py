@@ -1,4 +1,7 @@
 import math
+import signal
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +32,21 @@ from conftest import projectors
 K2 = complete_graph(2)
 K3 = complete_graph(3)
 P3 = path_graph(3)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the block, instead of hanging, once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestDecompose:
@@ -99,6 +117,56 @@ class TestDecompose:
         assert dec.num_eigenspaces == 1
         assert list(dec.starts) == [0]
         assert list(dec.multiplicities) == [3]
+
+    @staticmethod
+    def _assert_same_bits(a, b):
+        assert a == b  # real flag and eigenvalues, each float compared exactly
+        for x, y in ((a.vectors, b.vectors), (a.starts, b.starts)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_stack_equals_one_by_one(self, small_connected_graphs):
+        # real, complex, degenerate (K_n, the Laplacians) and mixed stacks
+        graphs = small_connected_graphs[5]
+        real = [mat for g in graphs for mat in (adjacency_hamiltonian(g),
+                                                laplacian_hamiltonian(g))]
+        d = np.exp(1j * np.arange(5))
+        gauged = [d[:, None] * mat * d.conj()[None, :] for mat in real[:12]]
+        chain = chain_hamiltonian(standard_pst_chain_couplings(5))
+        for stack in (real, [mat.astype(float) for mat in real], gauged,
+                      [real[0].astype(complex), gauged[1], chain, gauged[2], real[3]],
+                      [np.zeros((5, 5)), 3 * np.eye(5), chain]):
+            decs = decompose(np.stack(stack))
+            assert len(decs) == len(stack)
+            for dec, mat in zip(decs, stack):
+                self._assert_same_bits(dec, decompose(mat))
+        assert any(dec.degenerate for dec in decompose(np.stack(real)))
+
+    def test_stack_of_one_is_the_matrix(self):
+        mat = adjacency_hamiltonian(hypercube_graph(3))
+        [dec] = decompose(mat[None])
+        self._assert_same_bits(dec, decompose(mat))
+
+    def test_stack_takes_one_eigh_call_per_kind(self, eigh_calls):
+        a = adjacency_hamiltonian(P3)
+        decompose(np.stack([a, 2 * a, a.T]))
+        assert eigh_calls == [1]
+        decompose(np.stack([a, weighted_hamiltonian(P3, {(0, 1): 1j, (1, 2): 1})]))
+        assert eigh_calls == [3]
+
+    def test_stack_with_one_non_hermitian_matrix_raises(self):
+        a = adjacency_hamiltonian(P3).astype(float)
+        bad = a.copy()
+        bad[1, 0] += 1e-6
+        # each matrix is held to its own largest entry: 1e-6 is within
+        # HERMITIAN_RTOL of the 1e6-scaled neighbour, not of bad's own
+        for stack in ([bad], [a, bad, 1e6 * a], [1e6 * a, bad.astype(complex)]):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                decompose(np.stack(stack))
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 3, 0), (2, 3, 4), (1, 1, 3, 3), (3,)])
+    def test_rejects_bad_stack_shapes(self, shape):
+        with pytest.raises(ValueError, match="nonempty square"):
+            decompose(np.zeros(shape))
 
     def test_projector_invariants(self, small_connected_graphs):
         for n in range(2, 6):
@@ -344,6 +412,46 @@ class TestIntegrality:
         is_integral_spectrum(mat)
         radius = int(np.abs(mat).sum(axis=1).max())
         assert calls[0] <= 2 * radius + 1 + mat.shape[0]
+
+    @pytest.mark.parametrize("entry", [10**6, 10**12])
+    def test_large_entries_take_no_window_scan(self, entry):
+        # R = entry is far past the window that is scanned root by root
+        with time_limit(5):
+            assert is_integral_spectrum(np.array([[0, entry], [entry, 0]])) == (
+                True, [-entry, entry])
+            assert is_integral_spectrum(np.array([[1, entry], [entry, 0]])) == (False, None)
+            # not symmetric: the roots are +-i sqrt(entry)
+            assert is_integral_spectrum(np.array([[0, -entry], [1, 0]])) == (False, None)
+            assert is_integral_spectrum(np.diag([entry, -entry, entry, 0])) == (
+                True, [-entry, 0, entry, entry])
+            q3 = entry * adjacency_hamiltonian(hypercube_graph(3))
+            assert is_integral_spectrum(q3) == (True, [-3 * entry, *[-entry] * 3,
+                                                       *[entry] * 3, 3 * entry])
+            assert is_integral_spectrum(entry * adjacency_hamiltonian(P3)) == (False, None)
+
+    def test_int64_min_entry(self):
+        low = np.iinfo(np.int64).min
+        with time_limit(5):
+            assert is_integral_spectrum(np.array([[low, 0], [0, 1]])) == (True, [low, 1])
+            assert is_integral_spectrum(np.array([[low, 1], [1, 0]])) == (False, None)
+
+    @given(
+        n=st.integers(1, 6),
+        shape=st.sampled_from(["general", "symmetric", "triangular"]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_root_bisection_matches_the_window_scan(self, n, shape, data):
+        # every window is bisected when none is small enough to scan
+        entries = data.draw(st.lists(st.integers(-5, 5), min_size=n * n, max_size=n * n))
+        mat = np.array(entries, dtype=np.int64).reshape(n, n)
+        if shape == "symmetric":
+            mat = np.triu(mat) + np.triu(mat, 1).T
+        elif shape == "triangular":
+            mat = np.triu(mat)
+        scanned = is_integral_spectrum(mat)
+        with mock.patch.object(spectral, "_SCAN_RADIUS", -1):
+            assert is_integral_spectrum(mat) == scanned
 
     @given(
         n=st.integers(1, 6),

@@ -7,18 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pstlab import (
     VertexCoincide,
     adjacency_hamiltonian,
     asymmetric_5chain_couplings,
-    bipartite_phase_class,
+    bipartite_coloring,
     cartesian_product,
     chain_hamiltonian,
     check_transfer,
     complete_graph,
     decide,
     decompose,
+    enumerate_connected_graphs,
     evolve,
     fidelity,
     fidelity_curve,
@@ -29,9 +32,6 @@ from pstlab import (
     weighted_hamiltonian,
 )
 from pstlab.transfer import (
-    NonRealHamiltonian,
-    NonzeroDiagonal,
-    NotBipartite,
     PhaseUndefined,
     _bezout,
     weight_test,
@@ -250,34 +250,50 @@ class TestSymmetryOperator:
             symmetry_operator(decompose(A_P3), a, b)
 
 
+# the connected bipartite graphs on 2..6 vertices, one per isomorphism class
+BIPARTITE_CLASSES = [g for n in range(2, 7) for g in enumerate_connected_graphs(n)
+                     if bipartite_coloring(g).valid]
+
+
 class TestBipartitePhaseClass:
+    # A real H with zero diagonal on a bipartite coupling graph anticommutes
+    # with the colour sign S = diag(+-1), so S e^{-iHt} S = e^{iHt} = conj(e^{-iHt}):
+    # <m|e^{-iHt}|a> is real when a and m share a colour, and imaginary otherwise.
     def test_p3_same_color_real(self):
         for t in (0.3, 1.0, math.pi / math.sqrt(2)):
-            label, amp = bipartite_phase_class(P3, A_P3, 0, 2, t)
-            assert label == "purely-real"
+            amp, _ = fidelity(A_P3, 0, 2, t)
+            assert abs(amp.imag) <= 1e-10
             assert amp == pytest.approx((math.cos(math.sqrt(2) * t) - 1) / 2,
                                         abs=1e-10)
 
     def test_p3_opposite_color_imaginary(self):
         for t in (0.3, 1.0, 2.5):
-            label, amp = bipartite_phase_class(P3, A_P3, 0, 1, t)
-            assert label == "purely-imaginary"
+            amp, _ = fidelity(A_P3, 0, 1, t)
+            assert abs(amp.real) <= 1e-10
             assert amp == pytest.approx(-1j * math.sin(math.sqrt(2) * t) / math.sqrt(2),
                                         abs=1e-10)
 
     def test_k2(self):
-        label, amp = bipartite_phase_class(K2, A_K2, 0, 1, math.pi / 2)
-        assert label == "purely-imaginary"
+        amp, _ = fidelity(A_K2, 0, 1, math.pi / 2)
+        assert abs(amp.real) <= 1e-10
         assert amp == pytest.approx(-1j, abs=1e-10)
 
-    def test_errors(self):
-        with pytest.raises(NotBipartite):
-            bipartite_phase_class(K3, A_K3, 0, 1, 1.0)
-        with pytest.raises(NonRealHamiltonian):
-            bipartite_phase_class(K2, weighted_hamiltonian(K2, {(0, 1): 1j}),
-                                  0, 1, 1.0)
-        with pytest.raises(NonzeroDiagonal):
-            bipartite_phase_class(K2, L_K2, 0, 1, 1.0)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_real_weights(self, data):
+        g = data.draw(st.sampled_from(BIPARTITE_CLASSES))
+        edges = g.sorted_edges()
+        weights = data.draw(st.lists(
+            st.floats(0.1, 5.0) | st.floats(-5.0, -0.1),
+            min_size=len(edges), max_size=len(edges)))
+        h = weighted_hamiltonian(g, dict(zip(edges, weights))).real
+        a = data.draw(st.integers(0, g.n - 1))
+        t = data.draw(st.floats(0.0, 10.0))
+        amps = evolve(h, basis_state(g.n, a), t)
+        colors = bipartite_coloring(g).colors
+        for m, amp in enumerate(amps):
+            vanishing = amp.imag if colors[m] == colors[a] else amp.real
+            assert abs(vanishing) <= 1e-9, (m, amp)
 
 
 def perfect_instances(small_connected_graphs, max_n=5):
@@ -396,6 +412,19 @@ class TestValidation:
     def test_malformed_rejected(self, h):
         with pytest.raises(ValueError):
             check_transfer(h, 0, 1)
+
+    def test_one_matrix_functions_reject_a_stack(self):
+        # decompose takes a stack; the functions that answer for one H do not
+        from pstlab import rate_report, routing_impossibility_scan
+
+        stack = np.stack([A_P3, A_P3])
+        for call in (lambda: check_transfer(stack, 0, 2),
+                     lambda: evolve(stack, basis_state(3, 0), 1.0),
+                     lambda: fidelity(stack, 0, 2, 1.0),
+                     lambda: rate_report(stack, 0, 2),
+                     lambda: routing_impossibility_scan(stack, 0)):
+            with pytest.raises(ValueError, match="nonempty square matrix"):
+                call()
 
     # at N = 80 and 200, ||H|| > 64: t0 must come from the gaps, not from a search in time
     @pytest.mark.parametrize("n,seed", [(4, 1), (8, 2), (16, 3), (80, 0), (200, 0), (200, 1),
@@ -571,6 +600,47 @@ class TestDecide:
                     order = rng.permutation(len(pairs))
                     shuffled = decide(dec, [pairs[i] for i in order])
                     assert list(map(repr, shuffled)) == [repr(single[i]) for i in order]
+
+    @staticmethod
+    def _stacks(small_connected_graphs):
+        """Lists of decompositions of one size and kind: every graph of a
+        size under both models, degenerate or not, then gauged chains and
+        flux triangles, which are complex."""
+        for n in range(2, 7):
+            yield decompose(np.stack([model_hamiltonian(g, model) for model in MODELS
+                                      for g in small_connected_graphs[n]]))
+        yield [decompose(gauged_pst_chain(6, seed)) for seed in range(4)]
+        yield [decompose(flux_triangle(flux)) for flux in (0.3, math.pi / 2, math.pi)]
+
+    def test_several_decompositions_equal_one_at_a_time(self, small_connected_graphs):
+        for decs in self._stacks(small_connected_graphs):
+            n = decs[0].n
+            pairs = [(a, b) for a in range(n) for b in range(n) if b != a]
+            joint = decide(decs, pairs)
+            assert len(joint) == len(decs)
+            for dec, verdicts in zip(decs, joint):
+                assert list(map(repr, verdicts)) == list(map(repr, decide(dec, pairs)))
+
+    def test_joint_weight_test_sums_are_each_decompositions_own(self, small_connected_graphs):
+        for decs in self._stacks(small_connected_graphs):
+            n = decs[0].n
+            sources, targets = np.array([(a, b) for a in range(n) for b in range(n) if b != a]).T
+            joint = weight_test(decs, sources, targets)
+            offset = 0
+            for dec in decs:
+                columns = slice(offset, offset + dec.num_eigenspaces)
+                for together, alone in zip(joint, weight_test(dec, sources, targets)):
+                    assert together[:, columns].tobytes() == alone.tobytes()
+                offset += dec.num_eigenspaces
+            assert offset == joint[0].shape[1]
+
+    def test_several_decompositions_must_share_size_and_kind(self):
+        real, gauged = decompose(A_P3), decompose(gauged_pst_chain(3, 0))
+        for decs in ([real, decompose(A_K2)], [real, gauged]):
+            with pytest.raises(ValueError, match="size and their kind"):
+                decide(decs, [(0, 1)])
+        assert decide([], [(0, 1)]) == []
+        assert decide([real, real], []) == [[], []]
 
     def test_bad_pairs(self):
         dec = decompose(A_P3)
