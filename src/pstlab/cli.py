@@ -288,12 +288,9 @@ def cmd_search(args) -> int:
             raise ParseFailure(str(exc)) from exc
         except ValueError as exc:  # MalformedGraph6, or the n = 0 graph
             raise ParseFailure(f"bad graph6 line: {exc}") from exc
-    models = tuple(args.models.split(","))
-    for m in models:
-        if m not in MODELS:
-            print(f"error: unknown model {m!r}", file=sys.stderr)
-            return EXIT_USAGE
-    result = census(graphs, models, workers=args.workers)
+    result = census(graphs, args.models.split(","), workers=args.workers)
+    for graph6, message in result.failures:
+        print(f"census failed on {graph6}: {message}", file=sys.stderr)
     write_records(result.records, args.out)
     if args.csv:
         write_records_csv(result.records, args.csv)

@@ -5,7 +5,9 @@ isomorphism class (canonical form: lexicographically minimal upper-triangle
 bitstring over all vertex permutations).  Larger corpora are ingested from
 graph6 streams.  The census decides its graphs in chunks: the matrices of
 both models of every graph of one size in a chunk go to one decompose call
-and all their pairs to one decide call.  Census results persist as JSON
+and all their pairs to one decide call.  The serial census and the process
+pool take the same chunks.  A graph whose analysis raises is reported in
+the census's failures and does not stop it.  Census results persist as JSON
 Lines, one record per (graph, model, pair) with perfect transfer, in an
 order that does not depend on the chunks.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import logging
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
@@ -26,8 +27,6 @@ from .hamiltonians import MODELS, _model_matrix
 from .limits import autocorrelation_zeros
 from .spectral import decompose, is_integral_spectrum
 from .transfer import NO_TRANSFER, UNDECIDED, decide
-
-log = logging.getLogger(__name__)
 
 MAX_ENUMERATION_N = 7
 
@@ -184,7 +183,7 @@ class CensusResult:
     failures: list  # (graph6, error message)
 
 
-_CHUNK = 64  # graphs the serial census decides in one pass
+_CHUNK = 64  # graphs the census decides in one pass, serially or as one pool task
 
 
 def _analyze_chunk(graphs, models) -> tuple:
@@ -263,13 +262,22 @@ def _census_chunk(graphs, models) -> tuple:
 def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
     """Run the transfer decision over every (graph, model, vertex pair).
 
-    Graphs are decided in chunks, each in one pass per size; the serial
-    chunk holds at most _CHUNK graphs.  Per-graph failures are logged and
-    skipped; the record list is stably sorted by (graph6, model, source,
-    target) so repeated runs are byte-identical when serialized, whatever
-    the chunking.  workers defaults to the CPU count; fewer than 1 raises
-    ValueError.
+    Graphs are decided in chunks of at most _CHUNK graphs, each in one pass
+    per size; with workers > 1 and more than one chunk, a process pool takes
+    the chunks as its tasks.  A graph whose analysis raises is skipped and
+    reported once, as (graph6, message) in the result's failures.  The
+    record list is stably sorted by (graph6, model, source, target) so
+    repeated runs are byte-identical when serialized, whatever the worker
+    count.  Raises ValueError, before it analyses any graph, for a model
+    not named in MODELS, a model named twice, or workers below 1; workers
+    defaults to the CPU count.
     """
+    models = tuple(models)
+    for i, model in enumerate(models):
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
+        if model in models[:i]:
+            raise ValueError(f"repeated model {model!r}")
     if workers is None:
         import os
 
@@ -277,31 +285,22 @@ def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     graphs = list(graphs)
-    models = tuple(models)
-    result = CensusResult([], [], [])
-    if workers > 1 and len(graphs) > 8:
+    chunks = [graphs[i:i + _CHUNK] for i in range(0, len(graphs), _CHUNK)]
+    if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # a few chunks per worker: a task per graph costs more than the graph
-        size = -(-len(graphs) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_census_chunk, _chunks(graphs, size),
-                                    itertools.repeat(models)))
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            outputs = list(pool.map(_census_chunk, chunks, itertools.repeat(models)))
     else:
-        outputs = (_census_chunk(chunk, models) for chunk in _chunks(graphs, _CHUNK))
+        outputs = map(_census_chunk, chunks, itertools.repeat(models))
+    result = CensusResult([], [], [])
     for recs, und, failures in outputs:
-        for failure in failures:
-            log.warning("census failed on %s: %s", *failure)
-        result.failures.extend(failures)
         result.records.extend(recs)
         result.undecided.extend(und)
+        result.failures.extend(failures)
     result.records.sort(key=SearchRecord.sort_key)
     result.undecided.sort()
     return result
-
-
-def _chunks(items: list, size: int) -> list:
-    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 # -- persistence -------------------------------------------------------------------

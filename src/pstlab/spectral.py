@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
@@ -66,11 +65,6 @@ class SpectralDecomposition:
     def column_space(self) -> np.ndarray:
         """The eigenspace of each column of vectors."""
         return np.repeat(np.arange(self.num_eigenspaces), self.multiplicities)
-
-    @cached_property
-    def degenerate(self) -> bool:
-        """Whether some eigenspace has dimension two or more."""
-        return self.num_eigenspaces < self.n
 
     def pair_coefficients(self, a: int, b: int) -> np.ndarray:
         """c_k = P_k[b,a], so that <b|e^{-iHt}|a> = sum_k c_k e^{-i lambda_k t}."""
@@ -336,7 +330,8 @@ def _rationalize(x: float):
 
     Returns (p, q) with x ~ p/q, or None when no partial quotient becomes
     integral (to within RESIDUAL_TOL) before the denominator exceeds
-    MAX_DENOMINATOR.
+    MAX_DENOMINATOR.  For x >= 0, q > 0 and p/q is in lowest terms: each
+    step keeps p1 q0 - p0 q1 = +-1, whatever its partial quotient.
     """
     p0, q0 = 0, 1
     p1, q1 = 1, 0
@@ -372,9 +367,10 @@ def real_gcd(values) -> CommensurabilityResult:
         pq = _rationalize(v / values[0])
         if pq is None:
             return CommensurabilityResult(False, 0.0, ())
-        fracs.append(Fraction(*pq))
-    lcm = math.lcm(*(f.denominator for f in fracs))
-    z = [int(f * lcm) for f in fracs]
+        fracs.append(pq)
+    # each p/q is in lowest terms with q > 0, so p * (lcm / q) is exact
+    lcm = math.lcm(*(q for _, q in fracs))
+    z = [p * (lcm // q) for p, q in fracs]
     g = math.gcd(*z)
     z = [zi // g for zi in z]
     # least-squares chi, then verify the reconstruction

@@ -176,10 +176,6 @@ def weight_test(dec, sources, targets):
 
 # -- the decision procedure ----------------------------------------------------
 
-# distinct basis states cannot live in a single eigenspace proportionally
-_SINGLE_EIGENSPACE = TransferVerdict(NO_TRANSFER, reason="weight mismatch (single eigenspace)")
-
-
 def check_transfer(h, a: int, b: int) -> TransferVerdict:
     """Decide perfect state transfer from vertex a to vertex b under H."""
     return decide(_decompose_one(h), [(a, b)])[0]
@@ -215,21 +211,18 @@ def decide(dec, pairs) -> list:
     # per (decomposition, pair): its first failing column, or ends[-1] if none fails
     columns = np.where(failed, np.arange(ends[-1]), ends[-1])
     first_failed = np.minimum.reduceat(columns, offsets, axis=1).T.tolist()
-    num_supported = np.add.reduceat(supported, offsets, axis=1).T.tolist()
     pair_list = array.tolist()
     mismatch = {}  # first failing column -> its shared verdict
     out = []
-    for d, o, e, firsts, counts in zip(decs, offsets, ends, first_failed, num_supported):
+    for d, o, e, firsts in zip(decs, offsets, ends, first_failed):
         verdicts = []
-        for j, ((a, b), k, m) in enumerate(zip(pair_list, firsts, counts)):
+        for j, ((a, b), k) in enumerate(zip(pair_list, firsts)):
             if k < e:
                 verdict = mismatch.get(k)
                 if verdict is None:
                     verdict = mismatch[k] = TransferVerdict(
                         NO_TRANSFER,
                         reason=f"weight mismatch at eigenvalue {d.eigenvalues[k - o]:.6g}")
-            elif m < 2:
-                verdict = _SINGLE_EIGENSPACE
             else:
                 verdict = _phase_verdict(d, a, b, supported[j, o:e], ratios[j, o:e])
             verdicts.append(verdict)
@@ -242,6 +235,8 @@ def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, supported: np.nda
     """The verdict for a pair that passes the weight test, from its rows of
     weight_test's supported and ratios.
 
+    Such a pair has two or more supported eigenspaces: were all of |a> in
+    one, then <a|b> = 0 would make its s_k about 0, failing |s_k| = 1.
     With the supported gaps lambda_k - lambda_0 = z_k chi and the phase
     differences m_k = (phi_0 - phi_k) / pi, transfer at t0 = r pi / chi needs
     z_k r = m_k (mod 2) for every k.  When every m_k is an integer (every real

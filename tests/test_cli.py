@@ -12,12 +12,14 @@ import pytest
 
 from pstlab import (
     chain_hamiltonian,
+    complete_graph,
     encode_graph6,
     path_graph,
     standard_pst_chain_couplings,
 )
-from pstlab import spectral
+from pstlab import search, spectral
 from pstlab.cli import (
+    EXIT_INTERNAL,
     EXIT_NO_TRANSFER,
     EXIT_PARSE,
     EXIT_PERFECT,
@@ -457,6 +459,34 @@ class TestSearch:
     def test_unknown_model(self, tmp_path, capsys):
         assert main(["search", "--n", "3", "--models", "xuv",
                      "--out", str(tmp_path / "o.jsonl")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unknown model 'xuv'\n"
+
+    def test_repeated_model(self, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        assert main(["search", "--n", "3", "--models", "adjacency,adjacency",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: repeated model 'adjacency'\n"
+        assert not out.exists()
+
+    def test_failing_graph_is_printed_once(self, tmp_path, capsys, monkeypatch):
+        # P3 has a record, so its record fields are computed, and they raise
+        p3 = encode_graph6(path_graph(3))
+        coloring = search.bipartite_coloring
+
+        def failing(g):
+            if encode_graph6(g) == p3:
+                raise RuntimeError("no coloring on purpose")
+            return coloring(g)
+
+        monkeypatch.setattr(search, "bipartite_coloring", failing)
+        g6 = tmp_path / "graphs.g6"
+        g6.write_text(f"{encode_graph6(complete_graph(3))}\n{p3}\n")
+        code = main(["--workers", "1", "search", "--graph6-file", str(g6),
+                     "--out", str(tmp_path / "o.jsonl")])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.err == f"census failed on {p3}: no coloring on purpose\n"
+        assert "failures: 1" in captured.out
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_workers_is_a_usage_error(self, tmp_path, capsys, workers):
@@ -465,6 +495,17 @@ class TestSearch:
                      "--out", str(out)]) == EXIT_USAGE
         assert "workers must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cold_import_loads_no_extra_stdlib():
+    # what numpy does not load already, and the CLI has no use for at start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, numpy; before = set(sys.modules); import pstlab.cli; "
+            "print(sorted({'logging', 'fractions', 'decimal', 'concurrent.futures'}"
+            " & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 class TestGlobalOptions:

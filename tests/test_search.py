@@ -23,6 +23,7 @@ from pstlab import (
     write_records,
     write_records_csv,
 )
+from pstlab import search
 from pstlab.search import _CHUNK
 
 class RaisingGraph(Graph):
@@ -47,6 +48,23 @@ def graph_by_graph(graphs, models=("adjacency", "laplacian")) -> CensusResult:
         sorted((r for res in results for r in res.records), key=SearchRecord.sort_key),
         sorted(u for res in results for u in res.undecided),
         [f for res in results for f in res.failures])
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch):
+    """The size of each task handed to a census process pool in the test."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    sizes = []
+    pool_map = ProcessPoolExecutor.map
+
+    def spied(self, fn, chunks, *rest, **kwargs):
+        chunks = list(chunks)
+        sizes.extend(map(len, chunks))
+        return pool_map(self, fn, chunks, *rest, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", spied)
+    return sizes
 
 
 def census_bytes(result: CensusResult, path) -> bytes:
@@ -167,25 +185,57 @@ class TestCensus:
         keys = [r.sort_key() for r in a.records]
         assert keys == sorted(keys)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch, pool_tasks):
         graphs = list(enumerate_connected_graphs(5))
+        monkeypatch.setattr(search, "_CHUNK", 8)  # three chunks of the 21 graphs
         serial = census(graphs, workers=1)
+        assert pool_tasks == []
         parallel = census(graphs, workers=2)
-        assert serial.records == parallel.records
-        assert serial.undecided == parallel.undecided
+        assert pool_tasks == [8, 8, 5]
+        assert serial == parallel
+
+    def test_pool_takes_the_serial_chunks(self, small_connected_graphs, monkeypatch,
+                                          pool_tasks):
+        # 560 graphs, more than four tasks of _CHUNK graphs for each of two workers
+        graphs = small_connected_graphs[6] * 5
+        chunk = search._census_chunk
+        serial = []
+
+        def counted(part, models):
+            serial.append(len(part))
+            return chunk(part, models)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_census_chunk", counted)
+            expected = census(graphs, workers=1)
+        parallel = census(graphs, workers=2)
+        assert serial == pool_tasks == [_CHUNK] * 8 + [560 - 8 * _CHUNK]
+        assert parallel == expected
+
+    @pytest.mark.parametrize("models, message", [
+        (("adjacency", "bogus"), "unknown model 'bogus'"),
+        (("adjacency", "adjacency"), "repeated model 'adjacency'"),
+    ])
+    def test_bad_models_raise_before_any_graph(self, models, message):
+        def untouched():
+            raise AssertionError("census read a graph")
+            yield
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            census(untouched(), models=models, workers=1)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failing_graph_is_logged_not_fatal(self, workers, caplog):
+    def test_failing_graph_is_reported_not_fatal(self, workers, monkeypatch, pool_tasks):
         good = list(enumerate_connected_graphs(5))
         expected = census(good, workers=1).records
+        monkeypatch.setattr(search, "_CHUNK", 8)
         for bad, message in ((RaisingGraph(4, cycle_graph(4).edges), "analysis failed on purpose"),
                              (RaisingMatrixGraph(5, path_graph(5).edges), "no matrix on purpose")):
-            # in the middle of a chunk, on both paths: more than eight graphs,
-            # so workers=2 takes the process-pool path
+            # in the middle of the second of three chunks
             result = census(good[:10] + [bad] + good[10:], workers=workers)
             assert result.failures == [(encode_graph6(bad), message)]
             assert result.records == expected
-            assert encode_graph6(bad) in caplog.text
+        assert pool_tasks == ([] if workers == 1 else [8, 8, 6] * 2)
 
     def test_one_eigh_call_covers_both_models(self, eigh_calls):
         # K_{2,5}: its two-vertex side is the one perfect pair at n = 7

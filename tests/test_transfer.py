@@ -519,9 +519,9 @@ class TestWeightTest:
                         assert list(np.flatnonzero(supported[j])) == sup
                         unit = ratios[j, sup] / np.abs(ratios[j, sup])
                         assert unit == pytest.approx(np.exp(1j * np.array(phases)), abs=1e-12)
-                        # the gap/parity stage runs exactly for two or more supported eigenspaces
-                        single = verdicts[j].reason == "weight mismatch (single eigenspace)"
-                        assert single == (len(sup) < 2)
+                        # a pair that passes has two or more supported eigenspaces
+                        assert len(sup) >= 2
+                        assert not verdicts[j].reason.startswith("weight mismatch")
                     else:
                         assert verdicts[j].reason == (
                             f"weight mismatch at eigenvalue {dec.eigenvalues[k]:.6g}")
