@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from . import graphs as G
 from .hamiltonians import MODELS, model_hamiltonian, weighted_hamiltonian
 from .limits import MOHAR_ALPHAS, laplacian_diameter_bounds, rate_report
 from .search import (
+    _check_models,
     census,
     enumerate_connected_graphs,
     read_graph6_stream,
@@ -40,6 +42,12 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_INTERNAL = 70
 
+_STATUS_EXIT = {
+    "perfect": EXIT_PERFECT,
+    "no-transfer": EXIT_NO_TRANSFER,
+    "undecided": EXIT_UNDECIDED,
+}
+
 
 class ParseFailure(Exception):
     pass
@@ -58,33 +66,34 @@ def _fmt(x: float) -> str:
 # -- input loading -------------------------------------------------------------
 
 
-def load_graph(path: str) -> G.Graph:
+def _read(path: str) -> str:
+    """The stripped text of the input file at path."""
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            return fh.read().strip()
     except OSError as exc:
         raise ParseFailure(str(exc)) from exc
-    stripped = text.strip()
-    if stripped.startswith("{"):
+
+
+def load_graph(path: str) -> G.Graph:
+    text = _read(path)
+    if text.startswith("{"):
         try:
-            return G.Graph.from_json(stripped)
+            return G.Graph.from_json(text)
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseFailure(f"bad JSON graph: {exc}") from exc
     try:
-        return G.parse_graph6(stripped.splitlines()[0])
+        return G.parse_graph6(text.splitlines()[0])
     except (ValueError, IndexError) as exc:  # MalformedGraph6, the n = 0 graph, an empty file
         raise ParseFailure(f"not a JSON graph or graph6 line: {exc}") from exc
 
 
 def load_matrix(path: str) -> np.ndarray:
     """Weighted Hamiltonian: JSON couplings format or dense re/im CSV."""
-    try:
-        text = open(path).read()
-    except OSError as exc:
-        raise ParseFailure(str(exc)) from exc
-    stripped = text.strip()
-    if stripped.startswith("{"):
+    text = _read(path)
+    if text.startswith("{"):
         try:
-            data = json.loads(stripped)
+            data = json.loads(text)
             g = G.Graph(data["n"], frozenset((u, v) for u, v, _, _ in data["couplings"]))
             couplings = {(u, v): complex(re, im) for u, v, re, im in data["couplings"]}
             fields = data.get("fields")
@@ -94,7 +103,7 @@ def load_matrix(path: str) -> np.ndarray:
     try:
         rows = [
             [float(x) for x in row]
-            for row in csv.reader(stripped.splitlines())
+            for row in csv.reader(text.splitlines())
             if row
         ]
         n = len(rows)
@@ -149,11 +158,7 @@ def cmd_check(args) -> int:
                 print(f"chi: {_fmt(verdict.gap_structure.chi)}  "
                       f"z: {list(verdict.gap_structure.integers)}  r: {verdict.r}")
             print(f"fidelity at t0: {_fmt(verdict.fidelity_at_t0)}")
-    return {
-        "perfect": EXIT_PERFECT,
-        "no-transfer": EXIT_NO_TRANSFER,
-        "undecided": EXIT_UNDECIDED,
-    }[verdict.status]
+    return _STATUS_EXIT[verdict.status]
 
 
 def cmd_evolve(args) -> int:
@@ -167,16 +172,16 @@ def cmd_evolve(args) -> int:
     if not (math.isfinite(start) and math.isfinite(end)) or steps < 2 or end < start:
         print("error: need finite start and end, steps >= 2 and end >= start", file=sys.stderr)
         return EXIT_USAGE
-    G._require_vertices(h.shape[0], args.source)
-    dec = decompose(h)
+    n = h.shape[0]
+    G._require_vertices(n, args.source)
     times = np.linspace(start, end, steps)
+    curves = fidelity_curve(decompose(h), args.source, range(n), times)
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out)
         writer.writerow(["time", "target", "re", "im", "magnitude"])
-        for target in range(h.shape[0]):
-            amps = fidelity_curve(dec, args.source, target, times)
-            for t, amp in zip(times, amps):
+        for target in range(n):
+            for t, amp in zip(times, curves[:, target]):
                 writer.writerow([_fmt(t), target, _fmt(amp.real),
                                  _fmt(amp.imag), _fmt(abs(amp))])
     finally:
@@ -219,27 +224,16 @@ def cmd_bounds(args) -> int:
         return EXIT_USAGE
     g = load_graph(args.input)
     report = laplacian_diameter_bounds(g, tuple(args.alpha or MOHAR_ALPHAS))
-    payload = {
-        "D": report.D,
-        "max_degree": report.max_degree,
-        "two_d": report.two_d,
-        "k": report.k,
-        "k_minus_1": report.k_minus_1,
-        "mohar": {str(a): b for a, b in report.mohar.items()},
-        "all_satisfied": report.all_satisfied,
-    }
+    payload = asdict(report)
+    payload["mohar"] = {str(a): b for a, b in report.mohar.items()}
     if args.source is not None:
         try:
             rr = rate_report(model_hamiltonian(g, args.model), args.source, args.target)
         except NotPerfect as exc:
             payload["rate"] = {"status": exc.verdict.status, "reason": exc.verdict.reason}
         else:
-            payload["rate"] = {
-                "D": rr.D, "M": rr.M, "l": rr.l,
-                "zero_times": list(rr.zero_times),
-                "bound_satisfied": rr.bound_satisfied,
-                "ml_lower_bound": rr.ml_lower_bound,
-            }
+            payload["rate"] = asdict(rr)
+            payload["rate"]["zero_times"] = list(rr.zero_times)
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -254,23 +248,19 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_product(args) -> int:
+    if args.op != "complement" and args.g2 is None:
+        print("error: this product needs two graphs", file=sys.stderr)
+        return EXIT_USAGE
     g1 = load_graph(args.g1)
     if args.op == "complement":
         print(G.complement(g1).to_json())
-        return 0
-    g2 = load_graph(args.g2)
-    if args.op == "cartesian":
-        g = G.cartesian_product(g1, g2)
-    elif args.op == "conjunction":
-        g = G.conjunction(g1, g2)
-    elif args.op == "strong":
-        g = G.strong_product(g1, g2)
+    elif args.op == "join":
+        g, square_ok = G.join(g1, load_graph(args.g2))
+        print(json.dumps({"n": g.n, "edges": g.sorted_edges(), "square_ok": square_ok}))
     else:
-        g, square_ok = G.join(g1, g2)
-        print(json.dumps({"n": g.n, "edges": g.sorted_edges(),
-                          "square_ok": square_ok}))
-        return 0
-    print(g.to_json())
+        product = {"cartesian": G.cartesian_product, "conjunction": G.conjunction,
+                   "strong": G.strong_product}[args.op]
+        print(product(g1, load_graph(args.g2)).to_json())
     return 0
 
 
@@ -278,6 +268,7 @@ def cmd_search(args) -> int:
     if (args.n is None) == (args.graph6_file is None):
         print("error: provide exactly one of --n / --graph6-file", file=sys.stderr)
         return EXIT_USAGE
+    models = _check_models(args.models.split(","))
     if args.n is not None:
         graphs = list(enumerate_connected_graphs(args.n))
     else:
@@ -288,7 +279,7 @@ def cmd_search(args) -> int:
             raise ParseFailure(str(exc)) from exc
         except ValueError as exc:  # MalformedGraph6, or the n = 0 graph
             raise ParseFailure(f"bad graph6 line: {exc}") from exc
-    result = census(graphs, args.models.split(","), workers=args.workers)
+    result = census(graphs, models, workers=args.workers)
     for graph6, message in result.failures:
         print(f"census failed on {graph6}: {message}", file=sys.stderr)
     write_records(result.records, args.out)
@@ -358,9 +349,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    if args.command == "product" and args.op != "complement" and args.g2 is None:
-        print("error: this product needs two graphs", file=sys.stderr)
-        return EXIT_USAGE
     handler = {
         "check": cmd_check,
         "evolve": cmd_evolve,

@@ -259,6 +259,17 @@ def _census_chunk(graphs, models) -> tuple:
     return records, undecided, failures
 
 
+def _check_models(models) -> tuple:
+    """models as a tuple; ValueError for a model not in MODELS or named twice."""
+    models = tuple(models)
+    for i, model in enumerate(models):
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
+        if model in models[:i]:
+            raise ValueError(f"repeated model {model!r}")
+    return models
+
+
 def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
     """Run the transfer decision over every (graph, model, vertex pair).
 
@@ -272,12 +283,7 @@ def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
     not named in MODELS, a model named twice, or workers below 1; workers
     defaults to the CPU count.
     """
-    models = tuple(models)
-    for i, model in enumerate(models):
-        if model not in MODELS:
-            raise ValueError(f"unknown model {model!r}")
-        if model in models[:i]:
-            raise ValueError(f"repeated model {model!r}")
+    models = _check_models(models)
     if workers is None:
         import os
 

@@ -189,6 +189,12 @@ def integer_char_poly(h) -> list:
     coefficients.  Raises ValueError unless every entry is a finite integer
     (integer-valued floats are accepted).
     """
+    return _char_poly_and_radius(h)[0]
+
+
+def _char_poly_and_radius(h) -> tuple:
+    """(integer_char_poly(h), R), R the largest absolute row sum of h in
+    Python ints: a float row sum could round below a root at +-R."""
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
@@ -202,7 +208,8 @@ def integer_char_poly(h) -> list:
             m = None
         if m is None or not (m == h).all():
             raise ValueError("matrix entries must be finite integers")
-    fits = n * 2**n * max(_row_sum_radius(m), 1) ** (n + 1) <= np.iinfo(np.int64).max
+    radius = max(map(sum, np.abs(m.astype(object, copy=False)).tolist()), default=0)
+    fits = n * 2**n * max(radius, 1) ** (n + 1) <= np.iinfo(np.int64).max
     m = m.astype(np.int64 if fits else object, copy=False)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -216,14 +223,7 @@ def integer_char_poly(h) -> list:
         assert tr % k == 0
         c = -tr // k
         coeffs[n - k] = c
-    return coeffs
-
-
-def _row_sum_radius(h) -> int:
-    """R, the largest absolute row sum of the integer-valued matrix h, in Python ints."""
-    h = np.asarray(h)
-    ints = h.astype(object) if h.dtype.kind in "biu" else np.frompyfunc(int, 1, 1)(h)
-    return max(map(sum, np.abs(ints).tolist()), default=0)
+    return coeffs, radius
 
 
 _SCAN_RADIUS = 2**12  # largest R whose window [-R, R] is scanned integer by integer
@@ -246,8 +246,8 @@ def is_integral_spectrum(h):
 
 def _char_poly_and_roots(h):
     """integer_char_poly(h), and its ascending integer roots or None."""
-    coeffs = quotient = integer_char_poly(h)
-    radius = _row_sum_radius(h)  # a float row sum could round below a root at +-R
+    coeffs, radius = _char_poly_and_radius(h)
+    quotient = coeffs
     if radius <= _SCAN_RADIUS:
         candidates = range(-radius, radius + 1)
     else:

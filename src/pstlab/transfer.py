@@ -107,11 +107,15 @@ def _conj(z: np.ndarray) -> np.ndarray:
     return z.conj() if z.dtype.kind == "c" else z
 
 
-def fidelity_curve(dec: SpectralDecomposition, a: int, b: int, times: np.ndarray) -> np.ndarray:
-    """Amplitudes <b|e^{-iHt}|a> on an array of times."""
-    c = dec.pair_coefficients(a, b)
-    lams = np.asarray(dec.eigenvalues)
-    return np.exp(-1j * np.outer(times, lams)) @ c
+def fidelity_curve(dec: SpectralDecomposition, a: int, b, times: np.ndarray) -> np.ndarray:
+    """Amplitudes <b|e^{-iHt}|a> on an array of times; for a sequence of
+    vertices b, one column per vertex.  exp(-i times x lambda) is formed once,
+    and each column is its own matrix-vector product with it, so it has the
+    bits of the curve of its vertex alone."""
+    one = np.ndim(b) == 0
+    phases = np.exp(-1j * np.outer(times, dec.eigenvalues))
+    curves = [phases @ dec.pair_coefficients(a, t) for t in ([b] if one else b)]
+    return curves[0] if one else np.stack(curves, axis=1)
 
 
 # -- the eigenspace weight test -------------------------------------------------

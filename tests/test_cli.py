@@ -17,7 +17,7 @@ from pstlab import (
     path_graph,
     standard_pst_chain_couplings,
 )
-from pstlab import search, spectral
+from pstlab import cli, search, spectral
 from pstlab.cli import (
     EXIT_INTERNAL,
     EXIT_NO_TRANSFER,
@@ -298,17 +298,16 @@ class TestSpectrum:
         assert payload["eigenvalues"] == pytest.approx([0.0, 1.0, 3.0])
 
     def test_char_poly_computed_once(self, p3_file, capsys, monkeypatch):
+        # _char_poly_and_radius is the one place the polynomial and its row-sum
+        # radius are computed: integer_char_poly and the root search go through it
         calls = [0]
-        char_poly = spectral.integer_char_poly
+        char_poly = spectral._char_poly_and_radius
 
         def counted(*args):
             calls[0] += 1
             return char_poly(*args)
 
-        # every pstlab module that holds the function, as it was imported
-        for module in [m for name, m in sys.modules.items() if name.startswith("pstlab")]:
-            if getattr(module, "integer_char_poly", None) is char_poly:
-                monkeypatch.setattr(module, "integer_char_poly", counted)
+        monkeypatch.setattr(spectral, "_char_poly_and_radius", counted)
         code = main(["spectrum", p3_file, "--model", "laplacian", "--json"])
         assert code == 0 and calls == [1]
         payload = json.loads(capsys.readouterr().out)
@@ -466,6 +465,26 @@ class TestSearch:
         assert main(["search", "--n", "3", "--models", "adjacency,adjacency",
                      "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: repeated model 'adjacency'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("models, message", [
+        ("xuv", "unknown model 'xuv'"),
+        ("adjacency,adjacency", "repeated model 'adjacency'"),
+    ])
+    @pytest.mark.parametrize("corpus", ["n", "graph6-file"])
+    def test_models_checked_before_the_corpus(self, tmp_path, capsys, monkeypatch,
+                                              corpus, models, message):
+        def unreachable(*args):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(cli, "enumerate_connected_graphs", unreachable)
+        monkeypatch.setattr(cli, "read_graph6_stream", unreachable)
+        g6 = tmp_path / "graphs.g6"
+        g6.write_text(encode_graph6(path_graph(3)) + "\n")
+        source = ["--n", "7"] if corpus == "n" else ["--graph6-file", str(g6)]
+        out = tmp_path / "o.jsonl"
+        assert main(["search", *source, "--models", models, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_failing_graph_is_printed_once(self, tmp_path, capsys, monkeypatch):

@@ -3,15 +3,17 @@
 The census digest covers every verdict, time and phase found over the 112
 connected graphs on six vertices in both models; the two `check --json`
 lines pin the CLI's full report, to the last printed digit, on the uniform
-P3 and the 3-cube.
+P3 and the 3-cube; the text goldens pin the text reports of `bounds`
+(with and without a rate), `spectrum`, `check` on a graph6 input and
+`product join`.
 """
 
 import hashlib
 
 import pytest
 
-from pstlab import census, hypercube_graph, path_graph, write_records
-from pstlab.cli import EXIT_PERFECT, main
+from pstlab import census, complete_graph, hypercube_graph, path_graph, write_records
+from pstlab.cli import EXIT_NO_TRANSFER, EXIT_PERFECT, main
 
 CENSUS_N6_SHA256 = "2ebe9869f36e1b3d6bead0365f64ae7ba65905cefa986ea099e99218f6c3f1c7"
 
@@ -45,3 +47,61 @@ def test_check_json_bytes(graph, target, expected, tmp_path, capsys):
     code = main(["check", str(path), "--source", "0", "--target", str(target), "--json"])
     assert code == EXIT_PERFECT
     assert capsys.readouterr().out == expected + "\n"
+
+
+BOUNDS_P3_RATE_TEXT = (
+    "diameter D: 2\n"
+    "2d: 4  k-1: 2\n"
+    "mohar(alpha=2): 6\n"
+    "mohar(alpha=2.71828182846): 6\n"
+    "mohar(alpha=4): 6\n"
+    "all bounds satisfied: True\n"
+    "rate: {'D': 2, 'M': 3, 'l': 0, 'zero_times': [], 'bound_satisfied': True, "
+    "'ml_lower_bound': 0.7853981633974483}\n"
+)
+
+BOUNDS_K3_NOT_PERFECT_TEXT = (
+    "diameter D: 1\n"
+    "2d: 4  k-1: 1\n"
+    "mohar(alpha=2): 6\n"
+    "mohar(alpha=2.71828182846): 6\n"
+    "mohar(alpha=4): 6\n"
+    "all bounds satisfied: True\n"
+    "rate: {'status': 'no-transfer', 'reason': 'weight mismatch at eigenvalue -1'}\n"
+)
+
+SPECTRUM_Q3_TEXT = (
+    "eigenvalues: -3 -1 1 3\n"
+    "multiplicities: 1 3 3 1\n"
+    "char poly coefficients (ascending): [9, 0, -28, 0, 30, 0, -12, 0, 1]\n"
+    "integral: True\n"
+    "integer roots: [-3, -1, -1, -1, 1, 1, 1, 3]\n"
+)
+
+CHECK_P4_GRAPH6_TEXT = (
+    "status: no-transfer\n"
+    "reason: parity obstruction (no commensurable gap structure)\n"
+)
+
+JOIN_P3_K3_TEXT = (
+    '{"n": 6, "edges": [[0, 1], [0, 3], [0, 4], [0, 5], [1, 2], [1, 3], [1, 4], [1, 5], '
+    '[2, 3], [2, 4], [2, 5], [3, 4], [3, 5], [4, 5]], "square_ok": false}\n'
+)
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["bounds", "p3.json", "--source", "0", "--target", "2"], EXIT_PERFECT, BOUNDS_P3_RATE_TEXT),
+    (["bounds", "k3.json", "--source", "0", "--target", "1"], EXIT_PERFECT,
+     BOUNDS_K3_NOT_PERFECT_TEXT),
+    (["spectrum", "q3.json"], EXIT_PERFECT, SPECTRUM_Q3_TEXT),
+    (["check", "p4.g6", "--source", "0", "--target", "3"], EXIT_NO_TRANSFER, CHECK_P4_GRAPH6_TEXT),
+    (["product", "join", "p3.json", "k3.json"], EXIT_PERFECT, JOIN_P3_K3_TEXT),
+], ids=["bounds-P3-rate", "bounds-K3-not-perfect", "spectrum-Q3", "check-P4-graph6", "join"])
+def test_text_bytes(argv, code, expected, tmp_path, capsys):
+    inputs = {"p3.json": path_graph(3).to_json(), "k3.json": complete_graph(3).to_json(),
+              "q3.json": hypercube_graph(3).to_json(), "p4.g6": "Ch\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in inputs else a for a in argv]
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected

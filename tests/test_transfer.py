@@ -28,6 +28,7 @@ from pstlab import (
     laplacian_hamiltonian,
     model_hamiltonian,
     path_graph,
+    standard_pst_chain_couplings,
     symmetry_operator,
     weighted_hamiltonian,
 )
@@ -124,6 +125,41 @@ class TestFidelity:
             for t, want in zip(times, curve):
                 amp, mag = fidelity(dec, a, b, t)
                 assert abs(amp - want) <= 1e-14 and mag == pytest.approx(abs(want), abs=1e-14)
+
+    def test_curves_of_many_targets_keep_their_bits(self, small_connected_graphs, monkeypatch):
+        # one call over a sequence of targets: column j is, bit for bit, the
+        # curve of target j alone, and the phase matrix is formed once
+        exp = np.exp
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return exp(*args, **kwargs)
+
+        n = 40
+        d = np.exp(2j * math.pi * np.random.default_rng(7).random(n))
+        hs = [model_hamiltonian(g, model) for graphs in small_connected_graphs.values()
+              for g in graphs for model in MODELS]
+        hs.append(d[:, None] * chain_hamiltonian(standard_pst_chain_couplings(n)) * d.conj()[None, :])
+        times = np.linspace(0.0, 4.0, 33)
+        monkeypatch.setattr(np, "exp", counted)
+        for h in hs:
+            dec = decompose(h)
+            for a in range(dec.n):
+                targets = [*range(dec.n - 1, -1, -1), a]
+                calls[0] = 0
+                got = fidelity_curve(dec, a, targets, times)
+                assert calls == [1]
+                want = np.stack([fidelity_curve(dec, a, b, times) for b in targets], axis=1)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_one_target_curve_is_one_product(self):
+        dec = decompose(adjacency_hamiltonian(cartesian_product(P3, P4)).astype(float))
+        times = np.linspace(-1.0, 7.0, 50)
+        for a, b in ((0, 11), (5, 5), (3, 8)):
+            phases = np.exp(-1j * np.outer(times, np.asarray(dec.eigenvalues)))
+            want = phases @ dec.pair_coefficients(a, b)
+            assert fidelity_curve(dec, a, b, times).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("a,b", [(-1, 0), (0, -1), (3, 0), (0, 3)])
     def test_vertex_out_of_range(self, a, b):
