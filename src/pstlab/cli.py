@@ -22,6 +22,7 @@ from .hamiltonians import MODELS, model_hamiltonian, weighted_hamiltonian
 from .limits import MOHAR_ALPHAS, laplacian_diameter_bounds, rate_report
 from .search import (
     _check_models,
+    _check_workers,
     census,
     enumerate_connected_graphs,
     read_graph6_stream,
@@ -269,6 +270,7 @@ def cmd_search(args) -> int:
         print("error: provide exactly one of --n / --graph6-file", file=sys.stderr)
         return EXIT_USAGE
     models = _check_models(args.models.split(","))
+    workers = _check_workers(args.workers)
     if args.n is not None:
         graphs = list(enumerate_connected_graphs(args.n))
     else:
@@ -279,7 +281,7 @@ def cmd_search(args) -> int:
             raise ParseFailure(str(exc)) from exc
         except ValueError as exc:  # MalformedGraph6, or the n = 0 graph
             raise ParseFailure(f"bad graph6 line: {exc}") from exc
-    result = census(graphs, models, workers=args.workers)
+    result = census(graphs, models, workers=workers)
     for graph6, message in result.failures:
         print(f"census failed on {graph6}: {message}", file=sys.stderr)
     write_records(result.records, args.out)

@@ -5,18 +5,19 @@ isomorphism class (canonical form: lexicographically minimal upper-triangle
 bitstring over all vertex permutations).  Larger corpora are ingested from
 graph6 streams.  The census decides its graphs in chunks: the matrices of
 both models of every graph of one size in a chunk go to one decompose call
-and all their pairs to one decide call.  The serial census and the process
-pool take the same chunks.  A graph whose analysis raises is reported in
-the census's failures and does not stop it.  Census results persist as JSON
-Lines, one record per (graph, model, pair) with perfect transfer, in an
-order that does not depend on the chunks.
-"""
+and all their pairs to one pass of decide's decision path, which settles
+the pairs failing the weight test as arrays.  The serial census and the
+process pool take the same chunks.  A graph whose analysis raises is
+reported in the census's failures and does not stop it.  Census results
+persist as JSON Lines, one record per (graph, model, pair) with perfect
+transfer, in an order that does not depend on the chunks."""
 
 from __future__ import annotations
 
 import csv
 import itertools
 import json
+import os
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
@@ -26,7 +27,7 @@ from .graphs import Graph, bipartite_coloring, distance, encode_graph6, parse_gr
 from .hamiltonians import MODELS, _model_matrix
 from .limits import autocorrelation_zeros
 from .spectral import decompose, is_integral_spectrum
-from .transfer import NO_TRANSFER, UNDECIDED, decide
+from .transfer import NO_TRANSFER, UNDECIDED, _decide
 
 MAX_ENUMERATION_N = 7
 
@@ -48,7 +49,7 @@ def _pairs(n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _pair_array(n: int) -> np.ndarray:
-    """_pairs(n) as a read-only (pairs x 2) int64 array, which decide checks at once."""
+    """_pairs(n) as a read-only (pairs x 2) int64 array of valid pairs a < b."""
     array = np.array(_pairs(n), dtype=np.int64).reshape(-1, 2)
     array.flags.writeable = False
     return array
@@ -191,7 +192,8 @@ def _analyze_chunk(graphs, models) -> tuple:
 
     Each graph's adjacency matrix is built once and each model's matrix from
     it; one decompose call decomposes every (model, graph) matrix of a size
-    and one decide call tests every pair a < b on all of them.  The fields
+    and decide's decision path tests every pair a < b on all of them, where
+    only the pairs that pass the weight test leave its arrays.  The fields
     that only a record reads, and the graph6 label, are computed only when
     a graph has a record or an undecided pair.
     """
@@ -202,40 +204,36 @@ def _analyze_chunk(graphs, models) -> tuple:
     for g in graphs:
         by_size.setdefault(g.n, []).append(g)
     for n, group in by_size.items():
-        pairs = _pairs(n)
-        adjacency = np.stack([g.adjacency() for g in group])
+        adjacency = np.array([g.adjacency() for g in group])
         hams = np.concatenate([_model_matrix(adjacency, model) for model in models])
         decs = decompose(hams)
-        verdicts = decide(decs, _pair_array(n))
         labels = [None] * len(group)  # graph6 of each graph, made on first use
-        for i, (dec, pair_verdicts) in enumerate(zip(decs, verdicts)):
-            model = models[i // len(group)]
-            j = i % len(group)
-            g = group[j]
-            for (a, b), verdict in zip(pairs, pair_verdicts):
-                if verdict.status == NO_TRANSFER:
-                    continue
-                if labels[j] is None:
-                    labels[j] = encode_graph6(g)
-                if verdict.status == UNDECIDED:
-                    undecided.append((labels[j], model, a, b, verdict.reason))
-                    continue
-                records.append(SearchRecord(
-                    graph6=labels[j],
-                    n=n,
-                    model=model,
-                    source=a,
-                    target=b,
-                    t0=verdict.t0,
-                    transfer_phase=verdict.transfer_phase,
-                    D=distance(g, a, b),
-                    M=dec.num_eigenspaces,
-                    l=len(autocorrelation_zeros(dec, a, verdict.t0)),
-                    integral_spectrum=is_integral_spectrum(hams[i])[0],
-                    bipartite=bipartite_coloring(g).valid,
-                    regular=g.is_regular(),
-                    max_degree=g.max_degree(),
-                ))
+        for (i, p), verdict in _decide(decs, _pair_array(n))[1].items():
+            if verdict.status == NO_TRANSFER:
+                continue
+            model, j = models[i // len(group)], i % len(group)
+            g, (a, b) = group[j], _pair_array(n)[p].tolist()
+            if labels[j] is None:
+                labels[j] = encode_graph6(g)
+            if verdict.status == UNDECIDED:
+                undecided.append((labels[j], model, a, b, verdict.reason))
+                continue
+            records.append(SearchRecord(
+                graph6=labels[j],
+                n=n,
+                model=model,
+                source=a,
+                target=b,
+                t0=verdict.t0,
+                transfer_phase=verdict.transfer_phase,
+                D=distance(g, a, b),
+                M=decs[i].num_eigenspaces,
+                l=len(autocorrelation_zeros(decs[i], a, verdict.t0)),
+                integral_spectrum=is_integral_spectrum(hams[i])[0],
+                bipartite=bipartite_coloring(g).valid,
+                regular=g.is_regular(),
+                max_degree=g.max_degree(),
+            ))
     return records, undecided
 
 
@@ -270,6 +268,14 @@ def _check_models(models) -> tuple:
     return models
 
 
+def _check_workers(workers) -> int:
+    """workers, or the CPU count when it is None; ValueError below 1."""
+    workers = (os.cpu_count() or 1) if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
 def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
     """Run the transfer decision over every (graph, model, vertex pair).
 
@@ -284,12 +290,7 @@ def census(graphs, models=MODELS, workers: int = None) -> CensusResult:
     defaults to the CPU count.
     """
     models = _check_models(models)
-    if workers is None:
-        import os
-
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = _check_workers(workers)
     graphs = list(graphs)
     chunks = [graphs[i:i + _CHUNK] for i in range(0, len(graphs), _CHUNK)]
     if workers > 1 and len(chunks) > 1:

@@ -8,6 +8,7 @@ or complex); each decomposition of a stack is the one its matrix alone gets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +28,7 @@ class DegenerateInput(ValueError):
 
 HERMITIAN_RTOL = 1e-10  # largest accepted asymmetry, relative to the largest entry
 GROUPING_TOL = 1e-8  # relative gap below which eigenvalues share an eigenspace
-MAX_DENOMINATOR = 10**6  # largest denominator real_gcd tries for a gap ratio
+MAX_DENOMINATOR = 10**6  # largest denominator real_gcd tries for a gap ratio; 4R caps it
 RESIDUAL_TOL = 1e-9  # noise floor of real_gcd's fractions and its reconstruction
 
 
@@ -47,6 +48,7 @@ class SpectralDecomposition:
     vectors: np.ndarray = field(repr=False, compare=False)
     starts: np.ndarray = field(repr=False, compare=False)  # first column of each eigenspace
     real: bool
+    max_denominator: int = field(default=MAX_DENOMINATOR, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -114,17 +116,21 @@ def decompose(h):
     of either dtype, goes to the real symmetric solver, and its eigenvectors
     are float64.  Consecutive eigenvalues closer than
     GROUPING_TOL * max(1, spectral radius) are merged into one eigenspace.
+    An integer (or bool) matrix has max_denominator min(MAX_DENOMINATOR, 4R),
+    R its largest absolute row sum: a support with commensurable gaps holds
+    eigenvalues (alpha + b_k sqrt(Delta)) / 2 in [-R, R] (Godsil, ELA 23, 2012).
 
     A stack h of shape (m, n, n) gives the list of its m decompositions, each
     equal bit for bit to that of its matrix alone: one eigh call decomposes
     the matrices without imaginary part, and one more those with one.  A
     single matrix is decomposed as the stack of one.
     """
+    integer = np.asarray(h).dtype.kind in "biu"
     h = require_hermitian(h)
     stack = h.reshape(-1, *h.shape[-2:])
     real = ~stack.imag.any(axis=(1, 2)) if np.iscomplexobj(stack) else None
     if real is None or real.all():
-        decs = _decompose_stack(stack.real, True)
+        decs = _decompose_stack(stack.real, True, integer)
     elif not real.any():
         decs = _decompose_stack(stack, False)
     else:  # each kind by its own solver, then back in stack order
@@ -134,32 +140,32 @@ def decompose(h):
     return decs if h.ndim == 3 else decs[0]
 
 
-def _decompose_stack(stack, real: bool) -> list:
+def _decompose_stack(stack, real: bool, integer: bool = False) -> list:
     """The decompositions of a validated (m, n, n) stack, by one eigh call."""
+    n = stack.shape[-1]
     try:
         vals, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
-        n = stack.shape[-1]
-        raise EigensolverFailure(
-            f"eigh failed on {n}x{n} matrix "
-            f"(max |entry| {np.abs(stack).max():.3e}): {exc}"
-        ) from exc
-    n = stack.shape[-1]
+        raise EigensolverFailure(f"eigh failed on {n}x{n} matrix "
+                                 f"(max |entry| {np.abs(stack).max():.3e}): {exc}") from exc
     lams = vals.tolist()
     # an eigenspace is a run of eigenvalues whose consecutive gaps are <= gap
     gaps = [[GROUPING_TOL * max(1.0, abs(lam[0]), abs(lam[-1]))] for lam in lams]
     splits = (~(vals[:, 1:] - vals[:, :-1] <= gaps)).tolist()
     # C order makes each row, vectors[v], a contiguous vector
     vecs = np.ascontiguousarray(vecs)
+    caps = [MAX_DENOMINATOR] * len(lams)
+    if integer:  # R, the largest absolute row sum, is exact in float64 below 2**53
+        caps = [min(cap, 4 * int(r)) for cap, r in zip(caps, np.abs(stack).sum(2).max(1).tolist())]
     decs = []
-    for i, (lam, split) in enumerate(zip(lams, splits)):
-        starts = [0, *(c for c, new in enumerate(split, 1) if new)]
+    for i, (lam, split, cap) in enumerate(zip(lams, splits, caps)):
+        starts = [0, *itertools.compress(range(1, n), split)]
         eigenvalues = tuple(
             # np.mean's arithmetic (a sum, then one division) without its overhead
             lam[s] if e - s == 1 else float(np.add.reduce(vals[i, s:e]) / (e - s))
             for s, e in zip(starts, [*starts[1:], n])
         )
-        decs.append(SpectralDecomposition(eigenvalues, vecs[i], np.array(starts), real))
+        decs.append(SpectralDecomposition(eigenvalues, vecs[i], np.array(starts), real, cap))
     return decs
 
 
@@ -324,13 +330,13 @@ class CommensurabilityResult:
     integers: tuple  # z_k with gcd 1
 
 
-def _rationalize(x: float):
+def _rationalize(x: float, max_denominator: int = MAX_DENOMINATOR):
     """Continued-fraction expansion of x, terminated at the noise floor
     RESIDUAL_TOL.
 
     Returns (p, q) with x ~ p/q, or None when no partial quotient becomes
     integral (to within RESIDUAL_TOL) before the denominator exceeds
-    MAX_DENOMINATOR.  For x >= 0, q > 0 and p/q is in lowest terms: each
+    max_denominator.  For x >= 0, q > 0 and p/q is in lowest terms: each
     step keeps p1 q0 - p0 q1 = +-1, whatever its partial quotient.
     """
     p0, q0 = 0, 1
@@ -342,19 +348,19 @@ def _rationalize(x: float):
             a += 1
             frac = 0.0
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > MAX_DENOMINATOR:
+        if q1 > max_denominator:
             return None
         if frac <= RESIDUAL_TOL:
             return p1, q1
         x = 1.0 / frac
 
 
-def real_gcd(values) -> CommensurabilityResult:
+def real_gcd(values, max_denominator: int = MAX_DENOMINATOR) -> CommensurabilityResult:
     """Largest chi such that every value is (nearly) an integer multiple of it.
 
     Ratios value_k / value_0 are rationalized by continued fractions with
     RESIDUAL_TOL as the noise floor; the verdict is negative when any ratio
-    resists rationalization below MAX_DENOMINATOR, or when the
+    resists rationalization up to max_denominator, or when the
     reconstruction residual exceeds RESIDUAL_TOL.
     """
     values = [float(v) for v in values]
@@ -362,9 +368,9 @@ def real_gcd(values) -> CommensurabilityResult:
         raise DegenerateInput("values must be nonempty")
     if any(v <= RESIDUAL_TOL for v in values):
         raise DegenerateInput("all values must exceed the residual tolerance")
-    fracs = []
-    for v in values:
-        pq = _rationalize(v / values[0])
+    fracs = [(1, 1)]  # values[0] / values[0]
+    for v in values[1:]:
+        pq = _rationalize(v / values[0], max_denominator)
         if pq is None:
             return CommensurabilityResult(False, 0.0, ())
         fracs.append(pq)

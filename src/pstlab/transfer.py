@@ -121,26 +121,6 @@ def fidelity_curve(dec: SpectralDecomposition, a: int, b, times: np.ndarray) -> 
 # -- the eigenspace weight test -------------------------------------------------
 
 
-def _side_by_side(dec) -> tuple:
-    """(eigenvector columns, first column of each eigenspace) of dec, a
-    decomposition or a list of decompositions of one size and kind (real or
-    complex), with the columns of each after those of the one before."""
-    if isinstance(dec, SpectralDecomposition):
-        return dec.vectors, dec.starts
-    decs = list(dec)
-    if len(decs) == 1:
-        return decs[0].vectors, decs[0].starts
-    if not decs:
-        raise ValueError("no decomposition given")
-    if len({(d.n, d.real) for d in decs}) > 1:
-        raise ValueError("decompositions must share their size and their kind (real or complex)")
-    starts = np.concatenate([d.starts for d in decs])
-    # the columns of decs[i] start at i * n
-    n = decs[0].n
-    starts += np.repeat(np.arange(0, len(decs) * n, n), [d.num_eigenspaces for d in decs])
-    return np.concatenate([d.vectors for d in decs], axis=1), starts
-
-
 def weight_test(dec, sources, targets):
     """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for each pair (sources[j], targets[j]).
 
@@ -162,7 +142,17 @@ def weight_test(dec, sources, targets):
     is a few ulps, so that bound changes no verdict.  Every array is
     (pairs x columns) at most.
     """
-    vectors, starts = _side_by_side(dec)
+    decs = [dec] if isinstance(dec, SpectralDecomposition) else list(dec)
+    if not decs:
+        raise ValueError("no decomposition given")
+    if len({(d.n, d.real) for d in decs}) > 1:
+        raise ValueError("decompositions must share their size and their kind (real or complex)")
+    vectors, starts = decs[0].vectors, decs[0].starts
+    if len(decs) > 1:  # the columns of decs[i] start at i * n
+        n = decs[0].n
+        vectors = np.concatenate([d.vectors for d in decs], axis=1)
+        starts = np.concatenate([d.starts for d in decs]) + np.repeat(
+            np.arange(0, len(decs) * n, n), [d.num_eigenspaces for d in decs])
     va, vb = rows = vectors[np.array((sources, targets))]
     sq = np.add.reduceat(_abs2(rows), starts, axis=2)  # P_k[a,a] and P_k[b,b]
     sup_a, sup_b = sq > SUPPORT_TOL * SUPPORT_TOL
@@ -188,56 +178,68 @@ def check_transfer(h, a: int, b: int) -> TransferVerdict:
 def decide(dec, pairs) -> list:
     """The verdict for a -> b, for every pair (a, b) in pairs, on one decomposition.
 
-    One weight test serves every pair; the phase stage runs only for the
-    pairs that pass it.  Pairs failing it share one no-transfer verdict per
-    first failing eigenspace.  dec may also be a list of decompositions of
-    one size and kind: then one weight test serves every pair on each of
-    them, and the result holds, for each decomposition, the list of verdicts
-    that it alone would give.  Raises VertexCoincide for a pair (a, a),
-    IndexError for a vertex that is not an integer in 0..n-1, and ValueError
-    when pairs is not a sequence of pairs.
+    One weight test serves every pair; the pairs failing it are settled as
+    arrays and share one no-transfer verdict per first failing eigenspace.
+    The phase stage runs for the pairs that pass it, with one gap structure
+    per supported set.  dec may also be a list of decompositions of one size
+    and kind: then the result holds, for each, the verdicts it alone would
+    give.  Raises VertexCoincide for a pair (a, a), IndexError for a vertex
+    that is not an integer in 0..n-1, and ValueError when pairs is not a
+    sequence of pairs.
     """
     one = isinstance(dec, SpectralDecomposition)
     decs = [dec] if one else list(dec)
     array = np.asarray(pairs)
-    if not array.size or not decs:
-        return [] if one else [[] for _ in decs]
-    if array.ndim != 2 or array.shape[1] != 2:
-        raise ValueError(f"pairs must be (source, target) pairs, got shape {array.shape}")
-    _require_vertices(decs[0].n, pairs)  # as given, where a bool is still a bool
-    sources, targets = array.T
-    if (sources == targets).any():
-        raise VertexCoincide("source and target must differ")
-    supported, ratios, failed = weight_test(decs, sources, targets)
-    # the eigenspaces of decs[i] are the columns offsets[i] to ends[i] - 1
-    ends = list(itertools.accumulate(d.num_eigenspaces for d in decs))
-    offsets = [0, *ends[:-1]]
-    # per (decomposition, pair): its first failing column, or ends[-1] if none fails
-    columns = np.where(failed, np.arange(ends[-1]), ends[-1])
-    first_failed = np.minimum.reduceat(columns, offsets, axis=1).T.tolist()
-    pair_list = array.tolist()
-    mismatch = {}  # first failing column -> its shared verdict
-    out = []
-    for d, o, e, firsts in zip(decs, offsets, ends, first_failed):
-        verdicts = []
-        for j, ((a, b), k) in enumerate(zip(pair_list, firsts)):
-            if k < e:
-                verdict = mismatch.get(k)
-                if verdict is None:
-                    verdict = mismatch[k] = TransferVerdict(
-                        NO_TRANSFER,
-                        reason=f"weight mismatch at eigenvalue {d.eigenvalues[k - o]:.6g}")
-            else:
-                verdict = _phase_verdict(d, a, b, supported[j, o:e], ratios[j, o:e])
-            verdicts.append(verdict)
-        out.append(verdicts)
+    if array.size and decs:
+        if array.ndim != 2 or array.shape[1] != 2:
+            raise ValueError(f"pairs must be (source, target) pairs, got shape {array.shape}")
+        _require_vertices(decs[0].n, pairs)  # as given, where a bool is still a bool
+        if (array[:, 0] == array[:, 1]).any():
+            raise VertexCoincide("source and target must differ")
+    first, phase = _decide(decs, array)
+    first = first.tolist()
+    eigenvalues = [lam for d in decs for lam in d.eigenvalues]  # one per weight test column
+    failing = {k for i, row in enumerate(first) for j, k in enumerate(row) if (i, j) not in phase}
+    mismatch = {k: TransferVerdict(NO_TRANSFER, reason="weight mismatch at eigenvalue "
+                                   f"{eigenvalues[k]:.6g}") for k in failing}
+    out = [[phase.get((i, j)) or mismatch[k] for j, k in enumerate(row)]
+           for i, row in enumerate(first)]
     return out[0] if one else out
 
 
-def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, supported: np.ndarray,
-                   ratios: np.ndarray) -> TransferVerdict:
-    """The verdict for a pair that passes the weight test, from its rows of
-    weight_test's supported and ratios.
+def _decide(decs: list, array: np.ndarray) -> tuple:
+    """decide on a list of decompositions and an array of valid pairs, as
+    (first, phase): phase maps (i, j) to the phase-stage verdict of pair j on
+    decs[i] where it passes the weight test; elsewhere first[i, j] is the
+    weight_test column of the first eigenspace of decs[i] at which it fails."""
+    if not array.size or not decs:
+        return np.zeros((len(decs), 0), dtype=int), {}
+    supported, ratios, failed = weight_test(decs, *array.T)
+    # the eigenspaces of decs[i] are the columns offsets[i] to offsets[i + 1] - 1
+    offsets = [0, *itertools.accumulate(d.num_eigenspaces for d in decs)]
+    end = offsets[-1]
+    first = np.minimum.reduceat(np.where(failed, np.arange(end), end), offsets[:-1], axis=1).T
+    # np.angle's values, as real ratios are about +-1, of phase exactly 0 or pi
+    angles = np.where(ratios < 0, math.pi, 0.0) if decs[0].real else np.angle(ratios)
+    pair_list = array.tolist()
+    gaps, phase = {}, {}  # gaps: (decomposition, supported eigenspaces) -> their gap structure
+    for i, j in map(divmod, np.flatnonzero(first == end).tolist(), itertools.repeat(len(array))):
+        o, e = offsets[i], offsets[i + 1]
+        row = supported[j, o:e].tolist()
+        support = tuple(itertools.compress(range(e - o), row))
+        if (i, support) not in gaps:
+            lams = decs[i].eigenvalues
+            gaps[i, support] = real_gcd([lams[k] - lams[support[0]] for k in support[1:]],
+                                        decs[i].max_denominator)
+        phases = tuple(itertools.compress(angles[j, o:e].tolist(), row))
+        phase[i, j] = _phase_verdict(decs[i], *pair_list[j], phases, gaps[i, support])
+    return first, phase
+
+
+def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, phases: tuple,
+                   res: CommensurabilityResult) -> TransferVerdict:
+    """The verdict for a pair that passes the weight test, from the phases of
+    its supported eigenspaces and the gap structure res of their eigenvalues.
 
     Such a pair has two or more supported eigenspaces: were all of |a> in
     one, then <a|b> = 0 would make its s_k about 0, failing |s_k| = 1.
@@ -249,13 +251,9 @@ def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, supported: np.nda
     mod 2, sum_k c_k m_k for the Bezout coefficients of the z_k, and the
     confirmation by evolution tells whether it solves every equation.
     """
-    supported = np.flatnonzero(supported).tolist()
-    phases = np.angle(ratios[supported]).tolist()
-    k0 = supported[0]
-    res = real_gcd([dec.eigenvalues[k] - dec.eigenvalues[k0] for k in supported[1:]])
     m = [(phases[0] - phi) / math.pi for phi in phases[1:]]
-    integral = all(abs(mk - round(mk)) <= PHASE_REALNESS_TOL for mk in m)
-    found = dict(eigenphases=tuple(phases), gap_structure=res)
+    integral = dec.real or all(abs(mk - round(mk)) <= PHASE_REALNESS_TOL for mk in m)
+    found = dict(eigenphases=phases, gap_structure=res)
     if not res.commensurable:
         if integral:
             return TransferVerdict(
@@ -271,16 +269,10 @@ def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, supported: np.nda
     else:
         return TransferVerdict(NO_TRANSFER, reason="parity obstruction", **found)
     verdict = TransferVerdict(PERFECT, t0=r * math.pi / res.chi, r=r, **found)
-
-    # confirm by direct evolution, independent of the symbolic path
-    amp, mag = fidelity(dec, a, b, verdict.t0)
+    amp, mag = fidelity(dec, a, b, verdict.t0)  # direct evolution, apart from the symbolic path
     if mag < 1.0 - FIDELITY_TOL:
-        return replace(
-            verdict,
-            status=UNDECIDED,
-            reason=f"direct evolution gives fidelity {mag:.12f} at the candidate time",
-            fidelity_at_t0=mag,
-        )
+        reason = f"direct evolution gives fidelity {mag:.12f} at the candidate time"
+        return replace(verdict, status=UNDECIDED, reason=reason, fidelity_at_t0=mag)
     return replace(verdict, transfer_phase=amp / mag, fidelity_at_t0=mag)
 
 

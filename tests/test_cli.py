@@ -515,6 +515,21 @@ class TestSearch:
         assert "workers must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("corpus", ["n", "graph6-file"])
+    def test_workers_checked_before_the_corpus(self, tmp_path, capsys, monkeypatch, corpus):
+        def unreachable(*args):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(cli, "enumerate_connected_graphs", unreachable)
+        monkeypatch.setattr(cli, "read_graph6_stream", unreachable)
+        g6 = tmp_path / "graphs.g6"
+        g6.write_text(encode_graph6(path_graph(3)) + "\n")
+        source = ["--n", "7"] if corpus == "n" else ["--graph6-file", str(g6)]
+        out = tmp_path / "o.jsonl"
+        assert main(["--workers", "0", "search", *source, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: workers must be at least 1, got 0\n"
+        assert not out.exists()
+
 
 def test_cold_import_loads_no_extra_stdlib():
     # what numpy does not load already, and the CLI has no use for at start-up

@@ -1,7 +1,9 @@
 """Golden outputs: the exact bytes a change to the numerics must not move.
 
 The census digest covers every verdict, time and phase found over the 112
-connected graphs on six vertices in both models; the two `check --json`
+connected graphs on six vertices in both models; the verdict digest covers
+the repr of every verdict, perfect or not, on every ordered pair of every
+connected graph with n <= 6 in both models; the two `check --json`
 lines pin the CLI's full report, to the last printed digit, on the uniform
 P3 and the 3-cube; the text goldens pin the text reports of `bounds`
 (with and without a rate), `spectrum`, `check` on a graph6 input and
@@ -10,12 +12,16 @@ P3 and the 3-cube; the text goldens pin the text reports of `bounds`
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from pstlab import census, complete_graph, hypercube_graph, path_graph, write_records
+from pstlab import (census, complete_graph, decide, decompose, hypercube_graph,
+                    model_hamiltonian, path_graph, write_records)
 from pstlab.cli import EXIT_NO_TRANSFER, EXIT_PERFECT, main
+from pstlab.hamiltonians import MODELS
 
 CENSUS_N6_SHA256 = "2ebe9869f36e1b3d6bead0365f64ae7ba65905cefa986ea099e99218f6c3f1c7"
+VERDICTS_N6_SHA256 = "c903b7fd1bdca52e0ae6918e850e51b05bc22e3230a08a82659f657cb18824e6"
 
 P3_CHECK_JSON = (
     '{"chi": 1.414213562373095, "eigenphases": [0.0, 3.141592653589793, 0.0], '
@@ -35,6 +41,19 @@ def test_census_n6_digest(small_connected_graphs, tmp_path):
     out = tmp_path / "census6.jsonl"
     write_records(census(small_connected_graphs[6], workers=1).records, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_N6_SHA256
+
+
+def test_verdict_reprs_n6_digest(small_connected_graphs):
+    # graph by graph, each model in MODELS order, every ordered pair; one
+    # stacked decompose and one decide per size.  7,732 verdicts
+    digest = hashlib.sha256()
+    for n in range(2, 7):
+        hams = [model_hamiltonian(g, model) for g in small_connected_graphs[n] for model in MODELS]
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for verdicts in decide(decompose(np.array(hams)), pairs):
+            for verdict in verdicts:
+                digest.update(repr(verdict).encode())
+    assert digest.hexdigest() == VERDICTS_N6_SHA256
 
 
 @pytest.mark.parametrize("graph, target, expected", [

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,49 @@ class TestPhaseStage:
         for z in ((1,), (1, 2), (3, 5), (6, 10, 15), (4, 9, 25, 49)):
             c = _bezout(z)
             assert sum(ci * zi for ci, zi in zip(c, z)) == 1
+
+
+@lru_cache(maxsize=None)
+def census_matrices() -> dict:
+    """{n: int64 stack of both models of every connected graph on n vertices}, 2 <= n <= 7."""
+    return {n: np.array([model_hamiltonian(g, model) for g in enumerate_connected_graphs(n)
+                         for model in MODELS]) for n in range(2, 8)}
+
+
+class TestIntegerGapCap:
+    """An integer H caps real_gcd's denominators at 4R; no verdict may move."""
+
+    @staticmethod
+    def _assert_same_perfect(exact, floats):
+        for v, w in zip(exact, floats, strict=True):
+            assert v.is_perfect == w.is_perfect
+            if v.is_perfect:
+                assert repr((v.t0, v.transfer_phase)) == repr((w.t0, w.transfer_phase))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_perfect_on_int64_exactly_when_on_float64(self, data):
+        n = data.draw(st.integers(2, 7))
+        if data.draw(st.booleans()):  # a census Laplacian
+            h = data.draw(st.sampled_from(list(census_matrices()[n][1::2])))
+        else:
+            upper = data.draw(st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2,
+                                       max_size=n * (n + 1) // 2))
+            h = np.zeros((n, n), dtype=np.int64)
+            h[np.triu_indices(n)] = upper
+            h = h + np.triu(h, 1).T
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        self._assert_same_perfect(decide(decompose(h), pairs),
+                                  decide(decompose(h.astype(float)), pairs))
+
+    def test_census_statuses_agree(self):
+        for n, stack in census_matrices().items():
+            pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+            exact = decide(decompose(stack), pairs)
+            floats = decide(decompose(stack.astype(float)), pairs)
+            for v, w in zip(exact, floats, strict=True):
+                assert [x.status for x in v] == [x.status for x in w]
+                self._assert_same_perfect(v, w)
 
 
 def reference_weight_test(dec, a, b, support_tol=1e-9, weight_tol=1e-8):
