@@ -47,8 +47,9 @@ def _model_matrix(a: np.ndarray, model: str) -> np.ndarray:
     if model == "adjacency":
         return a
     if model == "laplacian":
-        lap, n = np.negative(a, order="C"), a.shape[-1]  # C order: the reshape is a view
-        lap.reshape(*a.shape[:-2], n * n)[..., ::n + 1] += a.sum(axis=-1)  # each diagonal
+        lap = -a
+        diagonal = np.arange(a.shape[-1])
+        lap[..., diagonal, diagonal] += a.sum(axis=-1)
         return lap
     raise ValueError(f"unknown model {model!r}")
 

@@ -8,7 +8,6 @@ or complex); each decomposition of a stack is the one its matrix alone gets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,7 +47,7 @@ class SpectralDecomposition:
     vectors: np.ndarray = field(repr=False, compare=False)
     starts: np.ndarray = field(repr=False, compare=False)  # first column of each eigenspace
     real: bool
-    max_denominator: int = field(default=MAX_DENOMINATOR, repr=False, compare=False)
+    _max_denominator: int = field(default=MAX_DENOMINATOR, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -116,16 +115,18 @@ def decompose(h):
     of either dtype, goes to the real symmetric solver, and its eigenvectors
     are float64.  Consecutive eigenvalues closer than
     GROUPING_TOL * max(1, spectral radius) are merged into one eigenspace.
-    An integer (or bool) matrix has max_denominator min(MAX_DENOMINATOR, 4R),
-    R its largest absolute row sum: a support with commensurable gaps holds
-    eigenvalues (alpha + b_k sqrt(Delta)) / 2 in [-R, R] (Godsil, ELA 23, 2012).
+    An integer (or bool) matrix caps the denominators of its gap ratios at
+    min(MAX_DENOMINATOR, 4R), R its largest absolute row sum: a support with
+    commensurable gaps holds eigenvalues (alpha + b_k sqrt(Delta)) / 2 in
+    [-R, R] (Godsil, ELA 23, 2012).
 
     A stack h of shape (m, n, n) gives the list of its m decompositions, each
     equal bit for bit to that of its matrix alone: one eigh call decomposes
     the matrices without imaginary part, and one more those with one.  A
     single matrix is decomposed as the stack of one.
     """
-    integer = np.asarray(h).dtype.kind in "biu"
+    h = np.asarray(h)
+    integer = h.dtype.kind in "biu"  # read before require_hermitian makes h float
     h = require_hermitian(h)
     stack = h.reshape(-1, *h.shape[-2:])
     real = ~stack.imag.any(axis=(1, 2)) if np.iscomplexobj(stack) else None
@@ -142,30 +143,33 @@ def decompose(h):
 
 def _decompose_stack(stack, real: bool, integer: bool = False) -> list:
     """The decompositions of a validated (m, n, n) stack, by one eigh call."""
-    n = stack.shape[-1]
     try:
         vals, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"eigh failed on {n}x{n} matrix "
-                                 f"(max |entry| {np.abs(stack).max():.3e}): {exc}") from exc
+        n = stack.shape[-1]
+        raise EigensolverFailure(
+            f"eigh failed on {n}x{n} matrix "
+            f"(max |entry| {np.abs(stack).max():.3e}): {exc}"
+        ) from exc
+    n = stack.shape[-1]
     lams = vals.tolist()
     # an eigenspace is a run of eigenvalues whose consecutive gaps are <= gap
     gaps = [[GROUPING_TOL * max(1.0, abs(lam[0]), abs(lam[-1]))] for lam in lams]
     splits = (~(vals[:, 1:] - vals[:, :-1] <= gaps)).tolist()
     # C order makes each row, vectors[v], a contiguous vector
     vecs = np.ascontiguousarray(vecs)
-    caps = [MAX_DENOMINATOR] * len(lams)
-    if integer:  # R, the largest absolute row sum, is exact in float64 below 2**53
-        caps = [min(cap, 4 * int(r)) for cap, r in zip(caps, np.abs(stack).sum(2).max(1).tolist())]
     decs = []
-    for i, (lam, split, cap) in enumerate(zip(lams, splits, caps)):
-        starts = [0, *itertools.compress(range(1, n), split)]
+    for i, (lam, split) in enumerate(zip(lams, splits)):
+        starts = [0, *(c for c, new in enumerate(split, 1) if new)]
         eigenvalues = tuple(
             # np.mean's arithmetic (a sum, then one division) without its overhead
             lam[s] if e - s == 1 else float(np.add.reduce(vals[i, s:e]) / (e - s))
             for s, e in zip(starts, [*starts[1:], n])
         )
-        decs.append(SpectralDecomposition(eigenvalues, vecs[i], np.array(starts), real, cap))
+        decs.append(SpectralDecomposition(eigenvalues, vecs[i], np.array(starts), real))
+    if integer:  # R, the largest absolute row sum, is exact in float64 below 2**53
+        for dec, r in zip(decs, np.abs(stack).sum(axis=2).max(axis=1).tolist()):
+            object.__setattr__(dec, "_max_denominator", min(MAX_DENOMINATOR, 4 * int(r)))
     return decs
 
 
@@ -355,14 +359,19 @@ def _rationalize(x: float, max_denominator: int = MAX_DENOMINATOR):
         x = 1.0 / frac
 
 
-def real_gcd(values, max_denominator: int = MAX_DENOMINATOR) -> CommensurabilityResult:
+def real_gcd(values) -> CommensurabilityResult:
     """Largest chi such that every value is (nearly) an integer multiple of it.
 
     Ratios value_k / value_0 are rationalized by continued fractions with
     RESIDUAL_TOL as the noise floor; the verdict is negative when any ratio
-    resists rationalization up to max_denominator, or when the
+    resists rationalization below MAX_DENOMINATOR, or when the
     reconstruction residual exceeds RESIDUAL_TOL.
     """
+    return _real_gcd(values, MAX_DENOMINATOR)
+
+
+def _real_gcd(values, max_denominator: int) -> CommensurabilityResult:
+    """real_gcd(values) with denominators up to max_denominator."""
     values = [float(v) for v in values]
     if not values:
         raise DegenerateInput("values must be nonempty")

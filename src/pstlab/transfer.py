@@ -23,7 +23,7 @@ from .spectral import (
     SpectralDecomposition,
     _decompose_one,
     _decomposition,
-    real_gcd,
+    _real_gcd,
 )
 
 PERFECT = "perfect"
@@ -229,8 +229,8 @@ def _decide(decs: list, array: np.ndarray) -> tuple:
         support = tuple(itertools.compress(range(e - o), row))
         if (i, support) not in gaps:
             lams = decs[i].eigenvalues
-            gaps[i, support] = real_gcd([lams[k] - lams[support[0]] for k in support[1:]],
-                                        decs[i].max_denominator)
+            gaps[i, support] = _real_gcd([lams[k] - lams[support[0]] for k in support[1:]],
+                                         decs[i]._max_denominator)
         phases = tuple(itertools.compress(angles[j, o:e].tolist(), row))
         phase[i, j] = _phase_verdict(decs[i], *pair_list[j], phases, gaps[i, support])
     return first, phase

@@ -527,17 +527,25 @@ class TestRealGcd:
     def test_integer_matrix_caps_the_denominator_at_4r(self):
         # P3: R = 2, so a gap ratio may have a denominator of 4R = 8, not 9
         a = adjacency_hamiltonian(P3)
-        cap = decompose(a).max_denominator
-        assert cap == 8 and decompose(a.astype(bool)).max_denominator == 8
-        assert real_gcd([8.0, 9.0], cap).integers == (8, 9)
-        assert not real_gcd([9.0, 10.0], cap).commensurable
+        cap = decompose(a)._max_denominator
+        assert cap == 8 and decompose(a.astype(bool))._max_denominator == 8
+        assert spectral._real_gcd([8.0, 9.0], cap).integers == (8, 9)
+        assert not spectral._real_gcd([9.0, 10.0], cap).commensurable
         assert real_gcd([9.0, 10.0]).integers == (9, 10)
         # float input, and an R too large to cap, keep MAX_DENOMINATOR; a
         # stack caps each of its matrices by its own R
-        assert decompose(a.astype(float)).max_denominator == spectral.MAX_DENOMINATOR
+        assert decompose(a.astype(float))._max_denominator == spectral.MAX_DENOMINATOR
         huge = np.array([[0, 10**6], [10**6, 0]])
-        caps = [d.max_denominator for d in decompose(np.stack([huge, 3 * a[:2, :2]]))]
+        caps = [d._max_denominator for d in decompose(np.stack([huge, 3 * a[:2, :2]]))]
         assert caps == [spectral.MAX_DENOMINATOR, 12]
+
+    def test_cap_is_not_a_parameter(self):
+        # only the input sets the cap: neither real_gcd nor the constructor takes one
+        with pytest.raises(TypeError):
+            real_gcd([1.0, 2.0], 8)
+        dec = decompose(adjacency_hamiltonian(P3))
+        with pytest.raises(TypeError):
+            spectral.SpectralDecomposition(dec.eigenvalues, dec.vectors, dec.starts, True, 8)
 
     def test_single_value(self):
         res = real_gcd([2.75])
