@@ -131,17 +131,20 @@ def decompose(h):
     stack = h.reshape(-1, *h.shape[-2:])
     real = ~stack.imag.any(axis=(1, 2)) if np.iscomplexobj(stack) else None
     if real is None or real.all():
-        decs = _decompose_stack(stack.real, True, integer)
+        decs = _decompose_stack(stack.real, True)
     elif not real.any():
         decs = _decompose_stack(stack, False)
     else:  # each kind by its own solver, then back in stack order
         kinds = {True: iter(_decompose_stack(stack[real].real, True)),
                  False: iter(_decompose_stack(stack[~real], False))}
         decs = [next(kinds[r]) for r in real.tolist()]
+    if integer:  # R, the largest absolute row sum, is exact in float64 below 2**53
+        for dec, r in zip(decs, np.abs(stack).sum(axis=2).max(axis=1).tolist()):
+            object.__setattr__(dec, "_max_denominator", min(MAX_DENOMINATOR, 4 * int(r)))
     return decs if h.ndim == 3 else decs[0]
 
 
-def _decompose_stack(stack, real: bool, integer: bool = False) -> list:
+def _decompose_stack(stack, real: bool) -> list:
     """The decompositions of a validated (m, n, n) stack, by one eigh call."""
     try:
         vals, vecs = np.linalg.eigh(stack)
@@ -167,9 +170,6 @@ def _decompose_stack(stack, real: bool, integer: bool = False) -> list:
             for s, e in zip(starts, [*starts[1:], n])
         )
         decs.append(SpectralDecomposition(eigenvalues, vecs[i], np.array(starts), real))
-    if integer:  # R, the largest absolute row sum, is exact in float64 below 2**53
-        for dec, r in zip(decs, np.abs(stack).sum(axis=2).max(axis=1).tolist()):
-            object.__setattr__(dec, "_max_denominator", min(MAX_DENOMINATOR, 4 * int(r)))
     return decs
 
 
