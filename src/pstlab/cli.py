@@ -1,8 +1,9 @@
 """Command-line interface: check, evolve, spectrum, bounds, product, search.
 
 Exit codes: 0 perfect transfer, 1 no transfer, 2 undecided, 64 usage error,
-65 input parse error, 70 internal failure, 141 standard output closed early
-(128 + SIGPIPE, as for `pstlab evolve ... | head`).  Errors go to stderr only.
+65 input parse error, 70 internal failure, 73 output file not writable,
+checked before any work, 141 standard output closed early (128 + SIGPIPE, as
+for `pstlab evolve ... | head`).  Errors go to stderr only.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_INTERNAL = 70
+EXIT_CANTCREAT = 73
 
 _STATUS_EXIT = {
     "perfect": EXIT_PERFECT,
@@ -51,6 +53,10 @@ _STATUS_EXIT = {
 
 
 class ParseFailure(Exception):
+    pass
+
+
+class CannotCreate(Exception):
     pass
 
 
@@ -117,6 +123,14 @@ def load_matrix(path: str) -> np.ndarray:
         raise ParseFailure(f"bad CSV matrix: {exc}") from exc
 
 
+def _open_output(path: str, mode: str = "w"):
+    """path opened for writing text; CannotCreate when it cannot be."""
+    try:
+        return open(path, mode, newline="")
+    except OSError as exc:
+        raise CannotCreate(str(exc)) from exc
+
+
 def build_hamiltonian(args) -> np.ndarray:
     if args.model == "weighted":
         return load_matrix(args.input)
@@ -175,10 +189,10 @@ def cmd_evolve(args) -> int:
         return EXIT_USAGE
     n = h.shape[0]
     G._require_vertices(n, args.source)
-    times = np.linspace(start, end, steps)
-    curves = fidelity_curve(decompose(h), args.source, range(n), times)
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
+    out = sys.stdout if args.out is None else _open_output(args.out)
     try:
+        times = np.linspace(start, end, steps)
+        curves = fidelity_curve(decompose(h), args.source, range(n), times)
         writer = csv.writer(out)
         writer.writerow(["time", "target", "re", "im", "magnitude"])
         for target in range(n):
@@ -271,6 +285,8 @@ def cmd_search(args) -> int:
         return EXIT_USAGE
     models = _check_models(args.models.split(","))
     workers = _check_workers(args.workers)
+    for path in filter(None, (args.out, args.csv)):
+        _open_output(path, "a").close()  # fails now, not after the census
     if args.n is not None:
         graphs = list(enumerate_connected_graphs(args.n))
     else:
@@ -364,6 +380,9 @@ def main(argv=None) -> int:
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except CannotCreate as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,13 +4,14 @@ Connected graphs up to 7 vertices are enumerated one representative per
 isomorphism class (canonical form: lexicographically minimal upper-triangle
 bitstring over all vertex permutations).  Larger corpora are ingested from
 graph6 streams.  The census decides its graphs in chunks: the matrices of
-both models of every graph of one size in a chunk go to one decompose call
-and all their pairs to one pass of decide's decision path, which settles
-the pairs failing the weight test as arrays.  The serial census and the
-process pool take the same chunks.  A graph whose analysis raises is
-reported in the census's failures and does not stop it.  Census results
-persist as JSON Lines, one record per (graph, model, pair) with perfect
-transfer, in an order that does not depend on the chunks."""
+both models of every graph of one size in a chunk go to one eigh call and
+all their pairs to one pass of decide's decision path, which settles the
+pairs failing the weight test, and those with incommensurable gaps, as
+arrays.  The serial census and the process pool take the same chunks.  A
+graph whose analysis raises is reported in the census's failures and does
+not stop it.  Census results persist as JSON Lines, one record per (graph,
+model, pair) with perfect transfer, in an order that does not depend on the
+chunks."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 from .graphs import Graph, bipartite_coloring, distance, encode_graph6, parse_graph6
 from .hamiltonians import MODELS, _model_matrix
 from .limits import autocorrelation_zeros
-from .spectral import decompose, is_integral_spectrum
+from .spectral import _decompose_stack, is_integral_spectrum
 from .transfer import NO_TRANSFER, UNDECIDED, _decide
 
 MAX_ENUMERATION_N = 7
@@ -191,11 +192,12 @@ def _analyze_chunk(graphs, models) -> tuple:
     """Records and undecided pairs of a list of graphs, in one pass per size.
 
     Each graph's adjacency matrix is built once and each model's matrix from
-    it; one decompose call decomposes every (model, graph) matrix of a size
-    and decide's decision path tests every pair a < b on all of them, where
-    only the pairs that pass the weight test leave its arrays.  The fields
-    that only a record reads, and the graph6 label, are computed only when
-    a graph has a record or an undecided pair.
+    it.  The (model, graph) matrices of a size are symmetric integer
+    matrices by construction: one eigh call decomposes them, unvalidated, as
+    one stack, and decide's core tests every pair a < b on all of them.
+    Only the pairs that neither the weight test nor their gaps settle get a
+    verdict, and only a graph with a record or an undecided pair gets its
+    graph6 label and the fields that only a record reads.
     """
     records, undecided = [], []
     if not models:
@@ -206,9 +208,11 @@ def _analyze_chunk(graphs, models) -> tuple:
     for n, group in by_size.items():
         adjacency = np.array([g.adjacency() for g in group])
         hams = np.concatenate([_model_matrix(adjacency, model) for model in models])
-        decs = decompose(hams)
+        stack = _decompose_stack(hams, True)
         labels = [None] * len(group)  # graph6 of each graph, made on first use
-        for (i, p), verdict in _decide(decs, _pair_array(n))[1].items():
+        _, open_pairs, phase_verdict = _decide(stack, _pair_array(n))
+        for i, p in open_pairs:
+            verdict = phase_verdict(i, p)
             if verdict.status == NO_TRANSFER:
                 continue
             model, j = models[i // len(group)], i % len(group)
@@ -227,8 +231,8 @@ def _analyze_chunk(graphs, models) -> tuple:
                 t0=verdict.t0,
                 transfer_phase=verdict.transfer_phase,
                 D=distance(g, a, b),
-                M=decs[i].num_eigenspaces,
-                l=len(autocorrelation_zeros(decs[i], a, verdict.t0)),
+                M=stack[i].num_eigenspaces,
+                l=len(autocorrelation_zeros(stack[i], a, verdict.t0)),
                 integral_spectrum=is_integral_spectrum(hams[i])[0],
                 bipartite=bipartite_coloring(g).valid,
                 regular=g.is_regular(),

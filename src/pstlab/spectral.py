@@ -8,6 +8,7 @@ or complex); each decomposition of a stack is the one its matrix alone gets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -126,51 +127,96 @@ def decompose(h):
     single matrix is decomposed as the stack of one.
     """
     h = np.asarray(h)
-    integer = h.dtype.kind in "biu"  # read before require_hermitian makes h float
-    h = require_hermitian(h)
-    stack = h.reshape(-1, *h.shape[-2:])
+    valid = require_hermitian(h)
+    # _decompose_stack reads the dtype of an integer h
+    stack = (h if h.dtype.kind in "biu" else valid).reshape(-1, *h.shape[-2:])
     real = ~stack.imag.any(axis=(1, 2)) if np.iscomplexobj(stack) else None
     if real is None or real.all():
-        decs = _decompose_stack(stack.real, True)
+        decs = list(_decompose_stack(stack.real, True))
     elif not real.any():
-        decs = _decompose_stack(stack, False)
+        decs = list(_decompose_stack(stack, False))
     else:  # each kind by its own solver, then back in stack order
         kinds = {True: iter(_decompose_stack(stack[real].real, True)),
                  False: iter(_decompose_stack(stack[~real], False))}
         decs = [next(kinds[r]) for r in real.tolist()]
-    if integer:  # R, the largest absolute row sum, is exact in float64 below 2**53
-        for dec, r in zip(decs, np.abs(stack).sum(axis=2).max(axis=1).tolist()):
-            object.__setattr__(dec, "_max_denominator", min(MAX_DENOMINATOR, 4 * int(r)))
     return decs if h.ndim == 3 else decs[0]
 
 
-def _decompose_stack(stack, real: bool) -> list:
-    """The decompositions of a validated (m, n, n) stack, by one eigh call."""
+class _Stack:
+    """The decompositions of m matrices of one size and kind, side by side:
+    matrix i has the columns i n to i n + n - 1 of vectors and the
+    eigenspaces offsets[i] to offsets[i + 1] - 1, eigenspace k has the
+    eigenvalue eigenvalues[k] and begins at column starts[k], and caps[i]
+    caps matrix i's gap ratio denominators.  stack[i], the decomposition of
+    matrix i, is made on first use; iterating gives each in turn."""
+
+    def __init__(self, eigenvalues, vectors, starts, offsets, real, caps, decs=None):
+        self.eigenvalues, self.vectors, self.starts = eigenvalues, vectors, starts
+        self.offsets, self.real, self.caps = offsets, real, caps
+        self._decs = decs or [None] * len(caps)
+
+    @classmethod
+    def of(cls, decs) -> "_Stack":
+        """The stack of a nonempty list of decompositions of one size and kind."""
+        if not decs:
+            raise ValueError("no decomposition given")
+        if len({(d.n, d.real) for d in decs}) > 1:
+            raise ValueError(
+                "decompositions must share their size and their kind (real or complex)")
+        if len(decs) == 1:
+            d = decs[0]
+            return cls(list(d.eigenvalues), d.vectors, d.starts, [0, d.num_eigenspaces],
+                       d.real, [d._max_denominator], [d])
+        return cls([lam for d in decs for lam in d.eigenvalues],
+                   np.concatenate([d.vectors for d in decs], axis=1),
+                   np.concatenate([d.starts + i * d.n for i, d in enumerate(decs)]),
+                   [0, *itertools.accumulate(d.num_eigenspaces for d in decs)],
+                   decs[0].real, [d._max_denominator for d in decs], list(decs))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.caps)))
+
+    def __getitem__(self, i: int) -> SpectralDecomposition:
+        if self._decs[i] is None:
+            n, (o, e) = self.vectors.shape[0], self.offsets[i:i + 2]
+            vectors = np.ascontiguousarray(self.vectors[:, i * n:i * n + n])
+            self._decs[i] = dec = SpectralDecomposition(
+                tuple(self.eigenvalues[o:e]), vectors, self.starts[o:e] - i * n, self.real)
+            object.__setattr__(dec, "_max_denominator", self.caps[i])
+        return self._decs[i]
+
+
+def _decompose_stack(stack, real: bool) -> _Stack:
+    """The decompositions of an (m, n, n) stack of Hermitian matrices, by one
+    eigh call; each matrix of an integer (or bool) stack has its own 4R cap."""
+    integer = stack.dtype.kind in "biu"
     try:
-        vals, vecs = np.linalg.eigh(stack)
+        vals, vecs = np.linalg.eigh(stack.astype(float) if integer else stack)
     except np.linalg.LinAlgError as exc:
         n = stack.shape[-1]
         raise EigensolverFailure(
             f"eigh failed on {n}x{n} matrix "
             f"(max |entry| {np.abs(stack).max():.3e}): {exc}"
         ) from exc
-    n = stack.shape[-1]
-    lams = vals.tolist()
+    m, n = vals.shape
     # an eigenspace is a run of eigenvalues whose consecutive gaps are <= gap
-    gaps = [[GROUPING_TOL * max(1.0, abs(lam[0]), abs(lam[-1]))] for lam in lams]
-    splits = (~(vals[:, 1:] - vals[:, :-1] <= gaps)).tolist()
-    # C order makes each row, vectors[v], a contiguous vector
-    vecs = np.ascontiguousarray(vecs)
-    decs = []
-    for i, (lam, split) in enumerate(zip(lams, splits)):
-        starts = [0, *(c for c, new in enumerate(split, 1) if new)]
-        eigenvalues = tuple(
-            # np.mean's arithmetic (a sum, then one division) without its overhead
-            lam[s] if e - s == 1 else float(np.add.reduce(vals[i, s:e]) / (e - s))
-            for s, e in zip(starts, [*starts[1:], n])
-        )
-        decs.append(SpectralDecomposition(eigenvalues, vecs[i], np.array(starts), real))
-    return decs
+    gaps = [[GROUPING_TOL * max(1.0, abs(lam[0]), abs(lam[-1]))] for lam in vals.tolist()]
+    new = np.ones((m, n), dtype=bool)  # eigenspace starts
+    new[:, 1:] = ~(vals[:, 1:] - vals[:, :-1] <= gaps)
+    starts = np.flatnonzero(new)  # column c of matrix i is column i n + c side by side
+    flat = vals.ravel()
+    lams, bounds = flat.tolist(), [*starts.tolist(), m * n]
+    eigenvalues = [
+        # np.mean's arithmetic (a sum, then one division) without its overhead
+        lams[s] if e - s == 1 else float(np.add.reduce(flat[s:e]) / (e - s))
+        for s, e in zip(bounds, bounds[1:])
+    ]
+    caps = [MAX_DENOMINATOR] * m
+    if integer:  # R, the largest absolute row sum, is exact in float64 below 2**53
+        r = np.abs(stack, dtype=float).sum(axis=2).max(axis=1)
+        caps = [min(MAX_DENOMINATOR, 4 * int(x)) for x in r.tolist()]
+    return _Stack(eigenvalues, vecs.transpose(1, 0, 2).reshape(n, m * n), starts,
+                  [0, *itertools.accumulate(new.sum(axis=1).tolist())], real, caps)
 
 
 def _decompose_one(h) -> SpectralDecomposition:
@@ -365,8 +411,12 @@ def real_gcd(values) -> CommensurabilityResult:
     Ratios value_k / value_0 are rationalized by continued fractions with
     RESIDUAL_TOL as the noise floor; the verdict is negative when any ratio
     resists rationalization below MAX_DENOMINATOR, or when the
-    reconstruction residual exceeds RESIDUAL_TOL.
+    reconstruction residual exceeds RESIDUAL_TOL.  Raises DegenerateInput
+    unless the values are finite and above RESIDUAL_TOL, and at least one.
     """
+    values = [float(v) for v in values]
+    if not all(map(math.isfinite, values)):
+        raise DegenerateInput("values must be finite")
     return _real_gcd(values, MAX_DENOMINATOR)
 
 

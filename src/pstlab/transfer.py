@@ -24,6 +24,7 @@ from .spectral import (
     _decompose_one,
     _decomposition,
     _real_gcd,
+    _Stack,
 )
 
 PERFECT = "perfect"
@@ -124,8 +125,8 @@ def fidelity_curve(dec: SpectralDecomposition, a: int, b, times: np.ndarray) -> 
 def weight_test(dec, sources, targets):
     """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for each pair (sources[j], targets[j]).
 
-    dec is a decomposition, or a list of decompositions of one size and kind,
-    whose eigenspaces then follow one another in that order.  Returns
+    dec is a decomposition, or a list or stack of decompositions of one size
+    and kind, whose eigenspaces then follow one another in that order.  Returns
     (supported, ratios, failed), (pairs x eigenspaces) arrays: both vertices
     have weight on P_k; s_k = P_k[a,b] / P_k[a,a] where supported; eigenspace
     k fails the test, by supporting just one of the two vertices or by
@@ -142,17 +143,9 @@ def weight_test(dec, sources, targets):
     is a few ulps, so that bound changes no verdict.  Every array is
     (pairs x columns) at most.
     """
-    decs = [dec] if isinstance(dec, SpectralDecomposition) else list(dec)
-    if not decs:
-        raise ValueError("no decomposition given")
-    if len({(d.n, d.real) for d in decs}) > 1:
-        raise ValueError("decompositions must share their size and their kind (real or complex)")
-    vectors, starts = decs[0].vectors, decs[0].starts
-    if len(decs) > 1:  # the columns of decs[i] start at i * n
-        n = decs[0].n
-        vectors = np.concatenate([d.vectors for d in decs], axis=1)
-        starts = np.concatenate([d.starts for d in decs]) + np.repeat(
-            np.arange(0, len(decs) * n, n), [d.num_eigenspaces for d in decs])
+    if not isinstance(dec, _Stack):
+        dec = _Stack.of([dec] if isinstance(dec, SpectralDecomposition) else list(dec))
+    vectors, starts = dec.vectors, dec.starts
     va, vb = rows = vectors[np.array((sources, targets))]
     sq = np.add.reduceat(_abs2(rows), starts, axis=2)  # P_k[a,a] and P_k[b,b]
     sup_a, sup_b = sq > SUPPORT_TOL * SUPPORT_TOL
@@ -190,50 +183,54 @@ def decide(dec, pairs) -> list:
     one = isinstance(dec, SpectralDecomposition)
     decs = [dec] if one else list(dec)
     array = np.asarray(pairs)
-    if array.size and decs:
-        if array.ndim != 2 or array.shape[1] != 2:
-            raise ValueError(f"pairs must be (source, target) pairs, got shape {array.shape}")
-        _require_vertices(decs[0].n, pairs)  # as given, where a bool is still a bool
-        if (array[:, 0] == array[:, 1]).any():
-            raise VertexCoincide("source and target must differ")
-    first, phase = _decide(decs, array)
-    first = first.tolist()
-    eigenvalues = [lam for d in decs for lam in d.eigenvalues]  # one per weight test column
-    failing = {k for i, row in enumerate(first) for j, k in enumerate(row) if (i, j) not in phase}
+    if not array.size or not decs:
+        return [] if one else [[] for _ in decs]
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise ValueError(f"pairs must be (source, target) pairs, got shape {array.shape}")
+    _require_vertices(decs[0].n, pairs)  # as given, where a bool is still a bool
+    if (array[:, 0] == array[:, 1]).any():
+        raise VertexCoincide("source and target must differ")
+    stack = _Stack.of(decs)
+    first, _, verdict = _decide(stack, array)
+    end, first = stack.offsets[-1], first.tolist()
     mismatch = {k: TransferVerdict(NO_TRANSFER, reason="weight mismatch at eigenvalue "
-                                   f"{eigenvalues[k]:.6g}") for k in failing}
-    out = [[phase.get((i, j)) or mismatch[k] for j, k in enumerate(row)]
+                                   f"{stack.eigenvalues[k]:.6g}")
+                for k in {k for row in first for k in row} - {end}}
+    out = [[verdict(i, j) if k == end else mismatch[k] for j, k in enumerate(row)]
            for i, row in enumerate(first)]
     return out[0] if one else out
 
 
-def _decide(decs: list, array: np.ndarray) -> tuple:
-    """decide on a list of decompositions and an array of valid pairs, as
-    (first, phase): phase maps (i, j) to the phase-stage verdict of pair j on
-    decs[i] where it passes the weight test; elsewhere first[i, j] is the
-    weight_test column of the first eigenspace of decs[i] at which it fails."""
-    if not array.size or not decs:
-        return np.zeros((len(decs), 0), dtype=int), {}
-    supported, ratios, failed = weight_test(decs, *array.T)
-    # the eigenspaces of decs[i] are the columns offsets[i] to offsets[i + 1] - 1
-    offsets = [0, *itertools.accumulate(d.num_eigenspaces for d in decs)]
+def _decide(stack: _Stack, array: np.ndarray) -> tuple:
+    """decide's core on a stack and an array of valid pairs, as (first, open,
+    verdict): first[i, j] is the first stack eigenspace of matrix i at which
+    pair j fails the weight test, else the eigenspace count; verdict(i, j) is
+    the phase-stage verdict of a passing pair.  open lists the passing pairs
+    but those a real stack settles by their incommensurable gaps alone, as a
+    parity obstruction, whose verdicts only decide makes."""
+    supported, ratios, failed = weight_test(stack, *array.T)
+    offsets, lams = stack.offsets, stack.eigenvalues
     end = offsets[-1]
     first = np.minimum.reduceat(np.where(failed, np.arange(end), end), offsets[:-1], axis=1).T
-    # np.angle's values, as real ratios are about +-1, of phase exactly 0 or pi
-    angles = np.where(ratios < 0, math.pi, 0.0) if decs[0].real else np.angle(ratios)
-    pair_list = array.tolist()
-    gaps, phase = {}, {}  # gaps: (decomposition, supported eigenspaces) -> their gap structure
+    supports, gaps = {}, {}  # (i, j) -> its supported eigenspaces -> their gap structure
     for i, j in map(divmod, np.flatnonzero(first == end).tolist(), itertools.repeat(len(array))):
         o, e = offsets[i], offsets[i + 1]
         row = supported[j, o:e].tolist()
-        support = tuple(itertools.compress(range(e - o), row))
-        if (i, support) not in gaps:
-            lams = decs[i].eigenvalues
-            gaps[i, support] = _real_gcd([lams[k] - lams[support[0]] for k in support[1:]],
-                                         decs[i]._max_denominator)
-        phases = tuple(itertools.compress(angles[j, o:e].tolist(), row))
-        phase[i, j] = _phase_verdict(decs[i], *pair_list[j], phases, gaps[i, support])
-    return first, phase
+        support = supports[i, j] = tuple(itertools.compress(range(o, e), row))
+        if support not in gaps:
+            gaps[support] = _real_gcd([lams[k] - lams[support[0]] for k in support[1:]],
+                                      stack.caps[i])
+
+    def verdict(i: int, j: int) -> TransferVerdict:
+        support = supports[i, j]
+        if stack.real:  # np.angle's values, as real ratios are about +-1: 0 or pi
+            phases = tuple(math.pi if ratios[j, k] < 0 else 0.0 for k in support)
+        else:
+            phases = tuple(np.angle(ratios[j, list(support)]).tolist())
+        return _phase_verdict(stack[i], *array[j].tolist(), phases, gaps[support])
+
+    open_pairs = [p for p, k in supports.items() if not stack.real or gaps[k].commensurable]
+    return first, open_pairs, verdict
 
 
 def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, phases: tuple,

@@ -19,6 +19,7 @@ from pstlab import (
 )
 from pstlab import cli, search, spectral
 from pstlab.cli import (
+    EXIT_CANTCREAT,
     EXIT_INTERNAL,
     EXIT_NO_TRANSFER,
     EXIT_PARSE,
@@ -225,6 +226,17 @@ class TestEvolve:
         assert main(["evolve", p3_file, "--source", source, "--times", "0:1:5",
                      "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
+
+    def test_output_checked_before_the_curve(self, p3_file, tmp_path, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the curve was computed")
+
+        monkeypatch.setattr(cli, "fidelity_curve", unreachable)
+        out = tmp_path / "no-such-dir" / "curve.csv"
+        assert main(["evolve", p3_file, "--source", "0", "--times", "0:1:5",
+                     "--out", str(out)]) == EXIT_CANTCREAT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno 2]") and captured.out == ""
 
     def test_bad_times(self, p3_file, capsys):
         assert main(["evolve", p3_file, "--source", "0",
@@ -529,6 +541,25 @@ class TestSearch:
         assert main(["--workers", "0", "search", *source, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: workers must be at least 1, got 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["--out", "--csv"])
+    @pytest.mark.parametrize("corpus", ["n", "graph6-file"])
+    def test_outputs_checked_before_the_corpus(self, tmp_path, capsys, monkeypatch, corpus, bad):
+        def unreachable(*args):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(cli, "enumerate_connected_graphs", unreachable)
+        monkeypatch.setattr(cli, "read_graph6_stream", unreachable)
+        g6 = tmp_path / "graphs.g6"
+        g6.write_text(encode_graph6(path_graph(3)) + "\n")
+        source = ["--n", "7"] if corpus == "n" else ["--graph6-file", str(g6)]
+        missing = tmp_path / "no-such-dir" / "o"
+        outputs = {"--out": str(tmp_path / "o.jsonl"), "--csv": str(tmp_path / "o.csv"),
+                   bad: str(missing)}
+        argv = ["search", *source, *(x for item in outputs.items() for x in item)]
+        assert main(argv) == EXIT_CANTCREAT
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2]") and str(missing) in err
 
 
 def test_cold_import_loads_no_extra_stdlib():

@@ -23,8 +23,9 @@ from pstlab import (
     write_records,
     write_records_csv,
 )
-from pstlab import search
+from pstlab import search, transfer
 from pstlab.search import _CHUNK
+from pstlab.transfer import NO_TRANSFER, PERFECT
 
 class RaisingGraph(Graph):
     """A graph whose census analysis raises (module level, so it pickles)."""
@@ -245,9 +246,28 @@ class TestCensus:
         assert eigh_calls == [1]
 
     def test_one_eigh_call_per_serial_chunk(self, eigh_calls):
-        graphs = list(enumerate_connected_graphs(6))
-        census(graphs, workers=1)
-        assert eigh_calls == [-(-len(graphs) // _CHUNK)]
+        chunks = 0
+        for n in (6, 7):
+            graphs = list(enumerate_connected_graphs(n))
+            census(graphs, workers=1)
+            chunks += -(-len(graphs) // _CHUNK)
+            assert eigh_calls == [chunks]
+
+    def test_incommensurable_pairs_get_no_verdict(self, monkeypatch):
+        # of the 2,415 pairs a < b that pass the weight test at n = 7, the
+        # 2,265 whose supported gaps are incommensurable are settled without
+        # a phase-stage verdict; the other 150 get one
+        phase_verdict, statuses = transfer._phase_verdict, []
+
+        def counted(*args):
+            verdict = phase_verdict(*args)
+            statuses.append((verdict.status, verdict.reason))
+            return verdict
+
+        monkeypatch.setattr(transfer, "_phase_verdict", counted)
+        assert len(census(enumerate_connected_graphs(7), workers=1).records) == 1
+        assert sorted(set(statuses)) == [(NO_TRANSFER, "parity obstruction"), (PERFECT, "")]
+        assert statuses.count((PERFECT, "")) == 1 and len(statuses) == 150
 
     @pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
     def test_chunks_change_no_byte(self, size, tmp_path):

@@ -524,6 +524,13 @@ class TestRealGcd:
         with pytest.raises(DegenerateInput):
             real_gcd([])
 
+    @pytest.mark.parametrize("values", [[math.nan], [math.inf], [1.0, math.nan], [1.0, math.inf]],
+                             ids=["nan", "inf", "one-nan", "one-inf"])
+    def test_non_finite_input(self, values):
+        # once a commensurable nan or inf chi, or a bare error from math.floor
+        with pytest.raises(DegenerateInput, match="finite"):
+            real_gcd(values)
+
     def test_integer_matrix_caps_the_denominator_at_4r(self):
         # P3: R = 2, so a gap ratio may have a denominator of 4R = 8, not 9
         a = adjacency_hamiltonian(P3)

@@ -12,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pstlab import (
+    NO_TRANSFER,
+    CommensurabilityResult,
+    TransferVerdict,
     VertexCoincide,
     adjacency_hamiltonian,
     asymmetric_5chain_couplings,
@@ -713,6 +716,20 @@ class TestDecide:
                     assert together[:, columns].tobytes() == alone.tobytes()
                 offset += dec.num_eigenspaces
             assert offset == joint[0].shape[1]
+
+    def test_incommensurable_pair_keeps_its_full_verdict(self):
+        # P4's end-to-end pair passes the weight test, on its four eigenspaces
+        # 2cos(k pi / 5) with alternating signs, and its gaps are
+        # incommensurable: the census settles it without a verdict, decide
+        # still gives the phase stage's
+        path = model_hamiltonian(path_graph(4), "adjacency")
+        for dec in (decompose(path), decompose(np.stack([path, path]))[1]):
+            verdict = decide(dec, [(0, 3)])[0]
+            assert verdict == TransferVerdict(
+                NO_TRANSFER, reason="parity obstruction (no commensurable gap structure)",
+                eigenphases=(math.pi, 0.0, math.pi, 0.0),
+                gap_structure=CommensurabilityResult(False, 0.0, ()))
+            assert all(type(phi) is float for phi in verdict.eigenphases)
 
     def test_several_decompositions_must_share_size_and_kind(self):
         real, gauged = decompose(A_P3), decompose(gauged_pst_chain(3, 0))
