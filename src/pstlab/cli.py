@@ -53,11 +53,11 @@ _STATUS_EXIT = {
 
 
 class ParseFailure(Exception):
-    pass
+    code = EXIT_PARSE
 
 
 class CannotCreate(Exception):
-    pass
+    code = EXIT_CANTCREAT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,10 +189,12 @@ def cmd_evolve(args) -> int:
         return EXIT_USAGE
     n = h.shape[0]
     G._require_vertices(n, args.source)
+    if args.out is not None:
+        _open_output(args.out, "a").close()  # fails now, not after the curve
+    times = np.linspace(start, end, steps)
+    curves = fidelity_curve(decompose(h), args.source, range(n), times)
     out = sys.stdout if args.out is None else _open_output(args.out)
     try:
-        times = np.linspace(start, end, steps)
-        curves = fidelity_curve(decompose(h), args.source, range(n), times)
         writer = csv.writer(out)
         writer.writerow(["time", "target", "re", "im", "magnitude"])
         for target in range(n):
@@ -377,12 +379,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ParseFailure as exc:
+    except (ParseFailure, CannotCreate) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CannotCreate as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CANTCREAT
+        return exc.code
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

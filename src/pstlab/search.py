@@ -208,11 +208,12 @@ def _analyze_chunk(graphs, models) -> tuple:
     for n, group in by_size.items():
         adjacency = np.array([g.adjacency() for g in group])
         hams = np.concatenate([_model_matrix(adjacency, model) for model in models])
-        stack = _decompose_stack(hams, True)
+        stack = _decompose_stack(hams, True, True)
         labels = [None] * len(group)  # graph6 of each graph, made on first use
-        _, open_pairs, phase_verdict = _decide(stack, _pair_array(n))
+        open_pairs, verdict_of = _decide(stack, _pair_array(n))
         for i, p in open_pairs:
-            verdict = phase_verdict(i, p)
+            dec = stack[i]
+            verdict = verdict_of(i, p, dec)
             if verdict.status == NO_TRANSFER:
                 continue
             model, j = models[i // len(group)], i % len(group)
@@ -231,8 +232,8 @@ def _analyze_chunk(graphs, models) -> tuple:
                 t0=verdict.t0,
                 transfer_phase=verdict.transfer_phase,
                 D=distance(g, a, b),
-                M=stack[i].num_eigenspaces,
-                l=len(autocorrelation_zeros(stack[i], a, verdict.t0)),
+                M=dec.num_eigenspaces,
+                l=len(autocorrelation_zeros(dec, a, verdict.t0)),
                 integral_spectrum=is_integral_spectrum(hams[i])[0],
                 bipartite=bipartite_coloring(g).valid,
                 regular=g.is_regular(),

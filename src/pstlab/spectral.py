@@ -127,33 +127,32 @@ def decompose(h):
     single matrix is decomposed as the stack of one.
     """
     h = np.asarray(h)
-    valid = require_hermitian(h)
-    # _decompose_stack reads the dtype of an integer h
-    stack = (h if h.dtype.kind in "biu" else valid).reshape(-1, *h.shape[-2:])
-    real = ~stack.imag.any(axis=(1, 2)) if np.iscomplexobj(stack) else None
-    if real is None or real.all():
-        decs = list(_decompose_stack(stack.real, True))
-    elif not real.any():
-        decs = list(_decompose_stack(stack, False))
-    else:  # each kind by its own solver, then back in stack order
-        kinds = {True: iter(_decompose_stack(stack[real].real, True)),
-                 False: iter(_decompose_stack(stack[~real], False))}
-        decs = [next(kinds[r]) for r in real.tolist()]
+    integer = h.dtype.kind in "biu"  # read before require_hermitian makes h float
+    stack = require_hermitian(h).reshape(-1, *h.shape[-2:])
+    real = [True] * len(stack)
+    if np.iscomplexobj(stack):
+        real = (~stack.imag.any(axis=(1, 2))).tolist()
+    decs = [None] * len(stack)
+    for kind in set(real):  # each kind by its own solver, then back in stack order
+        rows = [i for i, r in enumerate(real) if r == kind]
+        part = stack if len(rows) == len(stack) else stack[rows]  # no copy of one kind
+        part = _decompose_stack(part.real if kind else part, kind, integer)
+        for i, row in enumerate(rows):
+            decs[row] = part[i]
     return decs if h.ndim == 3 else decs[0]
 
 
 class _Stack:
-    """The decompositions of m matrices of one size and kind, side by side:
+    """Decompositions of m matrices of one size and kind, side by side:
     matrix i has the columns i n to i n + n - 1 of vectors and the
-    eigenspaces offsets[i] to offsets[i + 1] - 1, eigenspace k has the
-    eigenvalue eigenvalues[k] and begins at column starts[k], and caps[i]
-    caps matrix i's gap ratio denominators.  stack[i], the decomposition of
-    matrix i, is made on first use; iterating gives each in turn."""
+    eigenspaces offsets[i] to offsets[i + 1] - 1; eigenspace k has the
+    eigenvalue eigenvalues[k] and begins at column starts[k]; caps[i] caps
+    matrix i's gap ratio denominators.  stack[i] builds matrix i's
+    decomposition."""
 
-    def __init__(self, eigenvalues, vectors, starts, offsets, real, caps, decs=None):
+    def __init__(self, eigenvalues, vectors, starts, offsets, real, caps):
         self.eigenvalues, self.vectors, self.starts = eigenvalues, vectors, starts
         self.offsets, self.real, self.caps = offsets, real, caps
-        self._decs = decs or [None] * len(caps)
 
     @classmethod
     def of(cls, decs) -> "_Stack":
@@ -163,35 +162,26 @@ class _Stack:
         if len({(d.n, d.real) for d in decs}) > 1:
             raise ValueError(
                 "decompositions must share their size and their kind (real or complex)")
-        if len(decs) == 1:
-            d = decs[0]
-            return cls(list(d.eigenvalues), d.vectors, d.starts, [0, d.num_eigenspaces],
-                       d.real, [d._max_denominator], [d])
         return cls([lam for d in decs for lam in d.eigenvalues],
                    np.concatenate([d.vectors for d in decs], axis=1),
                    np.concatenate([d.starts + i * d.n for i, d in enumerate(decs)]),
                    [0, *itertools.accumulate(d.num_eigenspaces for d in decs)],
-                   decs[0].real, [d._max_denominator for d in decs], list(decs))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.caps)))
+                   decs[0].real, [d._max_denominator for d in decs])
 
     def __getitem__(self, i: int) -> SpectralDecomposition:
-        if self._decs[i] is None:
-            n, (o, e) = self.vectors.shape[0], self.offsets[i:i + 2]
-            vectors = np.ascontiguousarray(self.vectors[:, i * n:i * n + n])
-            self._decs[i] = dec = SpectralDecomposition(
-                tuple(self.eigenvalues[o:e]), vectors, self.starts[o:e] - i * n, self.real)
-            object.__setattr__(dec, "_max_denominator", self.caps[i])
-        return self._decs[i]
+        n, (o, e) = self.vectors.shape[0], self.offsets[i:i + 2]
+        dec = SpectralDecomposition(tuple(self.eigenvalues[o:e]),
+                                    np.ascontiguousarray(self.vectors[:, i * n:i * n + n]),
+                                    self.starts[o:e] - i * n, self.real)
+        object.__setattr__(dec, "_max_denominator", self.caps[i])
+        return dec
 
 
-def _decompose_stack(stack, real: bool) -> _Stack:
+def _decompose_stack(stack, real: bool, integer: bool) -> _Stack:
     """The decompositions of an (m, n, n) stack of Hermitian matrices, by one
-    eigh call; each matrix of an integer (or bool) stack has its own 4R cap."""
-    integer = stack.dtype.kind in "biu"
+    eigh call; each matrix of an integer-valued stack has its own 4R cap."""
     try:
-        vals, vecs = np.linalg.eigh(stack.astype(float) if integer else stack)
+        vals, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
         n = stack.shape[-1]
         raise EigensolverFailure(
@@ -213,8 +203,8 @@ def _decompose_stack(stack, real: bool) -> _Stack:
     ]
     caps = [MAX_DENOMINATOR] * m
     if integer:  # R, the largest absolute row sum, is exact in float64 below 2**53
-        r = np.abs(stack, dtype=float).sum(axis=2).max(axis=1)
-        caps = [min(MAX_DENOMINATOR, 4 * int(x)) for x in r.tolist()]
+        caps = [min(MAX_DENOMINATOR, 4 * int(r))
+                for r in np.abs(stack).sum(axis=2).max(axis=1).tolist()]
     return _Stack(eigenvalues, vecs.transpose(1, 0, 2).reshape(n, m * n), starts,
                   [0, *itertools.accumulate(new.sum(axis=1).tolist())], real, caps)
 

@@ -190,30 +190,22 @@ def decide(dec, pairs) -> list:
     _require_vertices(decs[0].n, pairs)  # as given, where a bool is still a bool
     if (array[:, 0] == array[:, 1]).any():
         raise VertexCoincide("source and target must differ")
-    stack = _Stack.of(decs)
-    first, _, verdict = _decide(stack, array)
-    end, first = stack.offsets[-1], first.tolist()
-    mismatch = {k: TransferVerdict(NO_TRANSFER, reason="weight mismatch at eigenvalue "
-                                   f"{stack.eigenvalues[k]:.6g}")
-                for k in {k for row in first for k in row} - {end}}
-    out = [[verdict(i, j) if k == end else mismatch[k] for j, k in enumerate(row)]
-           for i, row in enumerate(first)]
+    verdict = _decide(_Stack.of(decs), array)[1]
+    out = [[verdict(i, j, d) for j in range(len(array))] for i, d in enumerate(decs)]
     return out[0] if one else out
 
 
 def _decide(stack: _Stack, array: np.ndarray) -> tuple:
-    """decide's core on a stack and an array of valid pairs, as (first, open,
-    verdict): first[i, j] is the first stack eigenspace of matrix i at which
-    pair j fails the weight test, else the eigenspace count; verdict(i, j) is
-    the phase-stage verdict of a passing pair.  open lists the passing pairs
+    """decide's core on a stack and an array of valid pairs, as (open,
+    verdict): verdict(i, j, dec) is the verdict of pair j on matrix i, whose
+    decomposition is dec.  open lists the (i, j) that pass the weight test,
     but those a real stack settles by their incommensurable gaps alone, as a
-    parity obstruction, whose verdicts only decide makes."""
+    parity obstruction; only decide asks for the verdicts of the others."""
     supported, ratios, failed = weight_test(stack, *array.T)
     offsets, lams = stack.offsets, stack.eigenvalues
-    end = offsets[-1]
-    first = np.minimum.reduceat(np.where(failed, np.arange(end), end), offsets[:-1], axis=1).T
-    supports, gaps = {}, {}  # (i, j) -> its supported eigenspaces -> their gap structure
-    for i, j in map(divmod, np.flatnonzero(first == end).tolist(), itertools.repeat(len(array))):
+    passing = ~np.logical_or.reduceat(failed, offsets[:-1], axis=1).T
+    supports, gaps, mismatch = {}, {}, {}  # (i, j) -> supported eigenspaces -> gap structure
+    for i, j in np.argwhere(passing).tolist():
         o, e = offsets[i], offsets[i + 1]
         row = supported[j, o:e].tolist()
         support = supports[i, j] = tuple(itertools.compress(range(o, e), row))
@@ -221,16 +213,22 @@ def _decide(stack: _Stack, array: np.ndarray) -> tuple:
             gaps[support] = _real_gcd([lams[k] - lams[support[0]] for k in support[1:]],
                                       stack.caps[i])
 
-    def verdict(i: int, j: int) -> TransferVerdict:
-        support = supports[i, j]
+    def verdict(i: int, j: int, dec: SpectralDecomposition) -> TransferVerdict:
+        support = supports.get((i, j))
+        if support is None:  # one verdict per first failing eigenspace k
+            k = offsets[i] + int(failed[j, offsets[i]:offsets[i + 1]].argmax())
+            if k not in mismatch:
+                mismatch[k] = TransferVerdict(
+                    NO_TRANSFER, reason=f"weight mismatch at eigenvalue {lams[k]:.6g}")
+            return mismatch[k]
         if stack.real:  # np.angle's values, as real ratios are about +-1: 0 or pi
             phases = tuple(math.pi if ratios[j, k] < 0 else 0.0 for k in support)
         else:
             phases = tuple(np.angle(ratios[j, list(support)]).tolist())
-        return _phase_verdict(stack[i], *array[j].tolist(), phases, gaps[support])
+        return _phase_verdict(dec, *array[j].tolist(), phases, gaps[support])
 
     open_pairs = [p for p, k in supports.items() if not stack.real or gaps[k].commensurable]
-    return first, open_pairs, verdict
+    return open_pairs, verdict
 
 
 def _phase_verdict(dec: SpectralDecomposition, a: int, b: int, phases: tuple,

@@ -238,6 +238,18 @@ class TestEvolve:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: [Errno 2]") and captured.out == ""
 
+    def test_failed_curve_keeps_the_old_output(self, p3_file, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("the curve failed")
+
+        monkeypatch.setattr(cli, "fidelity_curve", failing)
+        out = tmp_path / "curve.csv"
+        out.write_bytes(b"old bytes\n")
+        assert main(["evolve", p3_file, "--source", "0", "--times", "0:1:5",
+                     "--out", str(out)]) == EXIT_INTERNAL
+        assert out.read_bytes() == b"old bytes\n"
+        assert "the curve failed" in capsys.readouterr().err
+
     def test_bad_times(self, p3_file, capsys):
         assert main(["evolve", p3_file, "--source", "0",
                      "--times", "nope"]) == EXIT_USAGE
