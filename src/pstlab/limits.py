@@ -50,8 +50,8 @@ def refine_extrema(lams, coeffs, lo, hi, t):
     derivatives are closed-form sums over the spectrum.  Each step first
     shrinks the bracket to the side where d|f|^2/dt changes sign; a step that
     would leave the bracket, or a second derivative of the wrong sign, falls
-    back to bisection.  A bracket stops when its step is at most
-    1e-14 + 4 eps |t|, the rounding level of t.  Returns (times, |f| there).
+    back to bisection.  A bracket stops at a step of at most 4 eps max(|t|, w0),
+    w0 its initial width, so cH refines to H's times over c.  Returns (times, |f|).
     """
     lams = np.asarray(lams, dtype=float)
     c0 = np.asarray(coeffs, dtype=complex)
@@ -60,6 +60,7 @@ def refine_extrema(lams, coeffs, lo, hi, t):
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     t = np.array(t, dtype=float)
+    width = hi - lo
     active = np.arange(len(t))
     for _ in range(REFINE_MAX_STEPS):
         if not len(active):
@@ -79,8 +80,16 @@ def refine_extrema(lams, coeffs, lo, hi, t):
         newton = (g2 > 0) & (step >= la) & (step <= ha)
         step = np.where(newton, step, 0.5 * (la + ha))
         t[active] = step
-        active = active[np.abs(step - ta) > 1e-14 + 4.0 * np.finfo(float).eps * np.abs(ta)]
+        rounding = 4.0 * np.finfo(float).eps * np.maximum(width[active], np.abs(ta))
+        active = active[np.abs(step - ta) > rounding]
     return t, np.abs(np.exp(-1j * np.outer(t, lams)) @ c0)
+
+
+def _autocorrelation_grid(lams, weights, t0):
+    b, dt = math.isqrt(ZERO_GRID) + 1, t0 / ZERO_GRID
+    outer = np.exp(-1j * np.outer(np.arange(0, ZERO_GRID + 1, b) * dt, lams)) * weights
+    inner = np.exp(-1j * np.outer(lams, np.arange(b) * dt))
+    return np.abs(outer @ inner).ravel()[:ZERO_GRID + 1]
 
 
 def autocorrelation_zeros(h, a: int, t0: float):
@@ -88,22 +97,23 @@ def autocorrelation_zeros(h, a: int, t0: float):
     SpectralDecomposition.
 
     The autocorrelation f is complex, so zeros are located as local minima of
-    |f| on a grid of ZERO_GRID intervals, all refined in one refine_extrema
+    |f| on a grid of G = ZERO_GRID intervals, all refined in one refine_extrema
     call; both real and imaginary parts must vanish (|f| <= ZERO_TOL) for a
-    time to count.  A grid minimum is a candidate only where both grid
-    neighbours lie above the rounding level of f, since where |f| is at that
-    level (near a zero of high order, as cos^(N-1) t has at t0 = pi/2) its
-    minima are noise.
+    time to count.  With t_j = j dt, j = qB + r and B = isqrt(G) + 1, the grid
+    is one product (w_k e^{-i lambda_k qB dt})_{q,k} (e^{-i lambda_k r dt})_{k,r}
+    over the M eigenvalues: about 2 sqrt(G) M exponentials in O(G + sqrt(G) M)
+    memory, with the candidates of the direct G x M cos/sin grid.  A grid
+    minimum is a candidate only where both grid neighbours lie above the
+    rounding level of f, since where |f| is at that level (near a zero of high
+    order, as cos^(N-1) t has at t0 = pi/2) its minima are noise.
     """
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
+    if not 0 < t0 < math.inf:
+        raise ValueError("t0 must be finite and positive")
     dec = _decomposition(h)
     weights = dec.pair_coefficients(a, a).real
     lams = np.asarray(dec.eigenvalues)
     times = np.linspace(0.0, t0, ZERO_GRID + 1)
-    # the weights are real, so |f| = |cos(X) w - i sin(X) w|
-    x = np.outer(times, lams)
-    vals = np.hypot(np.cos(x) @ weights, np.sin(x) @ weights)
+    vals = _autocorrelation_grid(lams, weights, t0)
     coarse = max(ZERO_TOL, 4.0 * float(np.abs(lams).max()) * (t0 / ZERO_GRID))
     noise = 64 * len(lams) * np.finfo(float).eps * float(np.abs(weights).sum())
     left, mid, right = vals[:-2], vals[1:-1], vals[2:]
@@ -212,8 +222,8 @@ def laplacian_diameter_bounds(g: Graph, alphas=MOHAR_ALPHAS) -> DiameterBoundsRe
 
 def complement_pst_condition(t0: float, n: int) -> bool:
     """e^{-i t0 n} = 1, the condition for PST to survive complementation."""
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
+    if not 0 < t0 < math.inf:
+        raise ValueError("t0 must be finite and positive")
     if n < 2:
         raise ValueError("n must be at least 2")
     r = math.fmod(t0 * n, 2.0 * math.pi)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pstlab import limits
 from pstlab import (
     VertexCoincide,
     adjacency_hamiltonian,
@@ -21,6 +23,7 @@ from pstlab import (
     is_integral_spectrum,
     laplacian_diameter_bounds,
     laplacian_hamiltonian,
+    model_hamiltonian,
     path_graph,
     rate_report,
     routing_bound_check,
@@ -28,7 +31,8 @@ from pstlab import (
     standard_pst_chain_couplings,
     weighted_hamiltonian,
 )
-from pstlab.limits import Disconnected
+from pstlab.hamiltonians import MODELS
+from pstlab.limits import ZERO_GRID, Disconnected
 from pstlab.transfer import NonRealHamiltonian, NotPerfect
 from pstlab.graphs import Graph
 
@@ -60,6 +64,22 @@ class TestAutocorrelationZeros:
         with pytest.raises(ValueError):
             autocorrelation_zeros(A_K2, 0, -1.0)
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_t0(self, t0):
+        with pytest.raises(ValueError, match="t0 must be finite and positive"):
+            autocorrelation_zeros(A_K2, 0, t0)
+
+    @pytest.mark.parametrize("k", [-20, -10, 10, 20, 30, 40, 50])
+    def test_zeros_scale_with_time(self, k):
+        # H -> 2^k H maps the zeros t to t / 2^k; at 2^40 the grid spacing is
+        # below 1e-14, so refine_extrema's stop rule must not be absolute
+        h = chain_hamiltonian(asymmetric_5chain_couplings(1.2))
+        c = 2.0 ** k
+        expected = autocorrelation_zeros(h, 1, math.pi)
+        assert len(expected) == 1
+        scaled = [t * c for t in autocorrelation_zeros(c * h, 1, math.pi / c)]
+        assert scaled == pytest.approx(expected, rel=1e-15, abs=0)
+
 
 class TestAutocorrelationValidation:
     def test_rejects_non_hermitian(self):
@@ -81,6 +101,76 @@ class TestAutocorrelationValidation:
         assert autocorrelation_zeros(dec, 1, math.pi / 2) == (
             autocorrelation_zeros(STD5, 1, math.pi / 2))
         assert eigh_calls == [2]
+
+
+def _direct_grid(lams, weights, t0):
+    """Reference for limits._autocorrelation_grid: one cos and one sin per
+    (time, eigenvalue) on the same ZERO_GRID + 1 times."""
+    x = np.outer(np.linspace(0.0, t0, ZERO_GRID + 1), lams)
+    return np.hypot(np.cos(x) @ weights, np.sin(x) @ weights)
+
+
+def _candidates(monkeypatch, dec, a, t0, grid):
+    """The grid minima autocorrelation_zeros hands to refine_extrema when its
+    grid comes from grid; refinement is skipped."""
+    seen = []
+
+    def record(lams, coeffs, lo, hi, t):
+        seen.append(np.asarray(t))
+        return seen[-1], np.ones(len(t))
+
+    with monkeypatch.context() as m:
+        m.setattr(limits, "refine_extrema", record)
+        m.setattr(limits, "_autocorrelation_grid", grid)
+        assert autocorrelation_zeros(dec, a, t0) == []
+    return seen[0]
+
+
+def _random_hermitian(rng, n, complex_entries):
+    h = rng.normal(size=(n, n))
+    if complex_entries:
+        h = h + 1j * rng.normal(size=(n, n))
+    return (h + h.conj().T) / 2
+
+
+def _zero_grid_cases():
+    for n in range(2, 6):
+        for g in enumerate_connected_graphs(n):
+            for model in MODELS:
+                dec = decompose(model_hamiltonian(g, model))
+                for a in range(n):
+                    for t0 in (1.0, math.pi / 2, 3.0, 10.0, 100.0):
+                        yield dec, a, t0
+    rng = np.random.default_rng(24)
+    for i in range(100):
+        n = int(rng.integers(2, 41))
+        yield (decompose(_random_hermitian(rng, n, i % 2 == 1)), int(rng.integers(n)),
+               (1.0, math.pi / 2, 3.0, 10.0, 100.0)[i % 5])
+
+
+class TestZeroGrid:
+    """The blocked phase product gives the direct formula's candidates."""
+
+    def test_candidates_equal_the_direct_grid(self, monkeypatch):
+        blocked = limits._autocorrelation_grid
+        cases = candidates = 0
+        for dec, a, t0 in _zero_grid_cases():
+            found = _candidates(monkeypatch, dec, a, t0, blocked)
+            reference = _candidates(monkeypatch, dec, a, t0, _direct_grid)
+            assert np.array_equal(found, reference), (dec.eigenvalues, a, t0)
+            cases += 1
+            candidates += len(found)
+        assert cases == 1470 and candidates > 0
+
+    def test_chain_400_memory(self):
+        dec = decompose(_pst_chain(400))
+        tracemalloc.start()
+        try:
+            autocorrelation_zeros(dec, 0, math.pi / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestRateReport:
@@ -280,3 +370,8 @@ class TestComplementRule:
             complement_pst_condition(-1.0, 4)
         with pytest.raises(ValueError):
             complement_pst_condition(1.0, 1)
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_t0(self, t0):
+        with pytest.raises(ValueError, match="t0 must be finite and positive"):
+            complement_pst_condition(t0, 4)
