@@ -12,7 +12,7 @@ import numpy as np
 
 from .graphs import Graph, diameter, distance, support_graph
 from .hamiltonians import laplacian_hamiltonian
-from .spectral import _decompose_one, _decomposition, decompose
+from .spectral import _decomposition, decompose
 from .transfer import NonRealHamiltonian, NotPerfect, _abs2, decide
 
 
@@ -105,13 +105,19 @@ def autocorrelation_zeros(h, a: int, t0: float):
     memory, with the candidates of the direct G x M cos/sin grid.  A grid
     minimum is a candidate only where both grid neighbours lie above the
     rounding level of f, since where |f| is at that level (near a zero of high
-    order, as cos^(N-1) t has at t0 = pi/2) its minima are noise.
+    order, as cos^(N-1) t has at t0 = pi/2) its minima are noise.  Raises
+    ValueError when (lambda_max - lambda_min) t0 > G, where the grid has
+    fewer than 2 pi points per period of the fastest term of |f|^2 and
+    would miss zeros.
     """
     if not 0 < t0 < math.inf:
         raise ValueError("t0 must be finite and positive")
     dec = _decomposition(h)
     weights = dec.pair_coefficients(a, a).real
     lams = np.asarray(dec.eigenvalues)
+    if (lams[-1] - lams[0]) * t0 > ZERO_GRID:
+        raise ValueError(f"t0 = {t0:.6g} is too long for the zero grid: "
+                         f"(lambda_max - lambda_min) t0 > ZERO_GRID = {ZERO_GRID}")
     times = np.linspace(0.0, t0, ZERO_GRID + 1)
     vals = _autocorrelation_grid(lams, weights, t0)
     coarse = max(ZERO_TOL, 4.0 * float(np.abs(lams).max()) * (t0 / ZERO_GRID))
@@ -136,7 +142,7 @@ def rate_report(h, a: int, b: int) -> RateReport:
     the report.  Raises NotPerfect, carrying the verdict, when transfer from
     a to b is not decided perfect.
     """
-    dec = _decompose_one(h)
+    dec = decompose(h)
     verdict = decide(dec, [(a, b)])[0]
     if not verdict.is_perfect:
         raise NotPerfect("rate report requires a Perfect verdict", verdict)
@@ -164,7 +170,7 @@ def routing_impossibility_scan(h, a: int) -> dict:
     RoutingViolation with the evidence in the message.  Each target is
     decided as check_transfer decides it, on one decomposition.
     """
-    dec = _decompose_one(h)
+    dec = decompose(h)
     if not dec.real:
         raise NonRealHamiltonian("routing scan is defined for real Hamiltonians")
     pairs = [(a, c) for c in range(dec.n) if c != a]

@@ -212,7 +212,7 @@ def _analyze_chunk(graphs, models) -> tuple:
         labels = [None] * len(group)  # graph6 of each graph, made on first use
         open_pairs, verdict_of = _decide(stack, _pair_array(n))
         for i, p in open_pairs:
-            dec = stack[i]
+            dec = stack._matrix(i)
             verdict = verdict_of(i, p, dec)
             if verdict.status == NO_TRANSFER:
                 continue

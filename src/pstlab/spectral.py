@@ -1,9 +1,10 @@
 """Spectral engine: degeneracy-grouped eigendecompositions, exact integer
 characteristic polynomials, integrality tests, and real-number gcd detection.
 
-decompose takes one Hermitian matrix, or a stack of them of one size, which
-it validates matrix by matrix and decomposes by one eigh call per kind (real
-or complex); each decomposition of a stack is the one its matrix alone gets.
+decompose takes one Hermitian matrix, validates it and decomposes it by one
+eigh call.  Only the census stacks: _decompose_stack decomposes m matrices
+of one size and kind by one eigh call into one SpectralDecomposition, and
+the decomposition of one matrix is the stack of one.
 """
 
 from __future__ import annotations
@@ -42,13 +43,20 @@ class SpectralDecomposition:
     starts[k] + multiplicities[k].  real tells whether the decomposed matrix
     has no imaginary part; then it was decomposed by the real symmetric
     solver, and vectors is float64, else complex128.
+
+    The census stacks m matrices of one size and kind (_decompose_stack):
+    vectors is then (n, m n), matrix i has its columns i n to i n + n - 1
+    and the eigenspaces from offsets[i] on, whose eigenvalues increase, and
+    caps[i] caps the denominators of its gap ratios.  One matrix is the
+    stack of one, and the constructor takes neither field.
     """
 
     eigenvalues: tuple
     vectors: np.ndarray = field(repr=False, compare=False)
     starts: np.ndarray = field(repr=False, compare=False)  # first column of each eigenspace
     real: bool
-    _max_denominator: int = field(default=MAX_DENOMINATOR, init=False, repr=False, compare=False)
+    offsets: tuple = field(default=(0,), init=False, repr=False, compare=False)
+    caps: tuple = field(default=(MAX_DENOMINATOR,), init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -61,7 +69,7 @@ class SpectralDecomposition:
     @cached_property
     def multiplicities(self) -> np.ndarray:
         """The dimension of each eigenspace."""
-        return np.diff(self.starts, append=self.n)
+        return np.diff(self.starts, append=self.vectors.shape[1])
 
     @cached_property
     def column_space(self) -> np.ndarray:
@@ -74,20 +82,30 @@ class SpectralDecomposition:
         v = self.vectors
         return np.add.reduceat(v[a].conj() * v[b], self.starts)
 
+    def _matrix(self, i: int) -> SpectralDecomposition:
+        """Matrix i of a stack, as decompose gives it for that matrix alone."""
+        if len(self.offsets) == 1:
+            return self
+        n, (o, e) = self.n, [*self.offsets, self.num_eigenspaces][i:i + 2]
+        dec = SpectralDecomposition(self.eigenvalues[o:e],
+                                    np.ascontiguousarray(self.vectors[:, i * n:i * n + n]),
+                                    self.starts[o:e] - i * n, self.real)
+        vars(dec)["caps"] = self.caps[i:i + 1]  # a field the constructor does not take
+        return dec
+
 
 def require_hermitian(h) -> np.ndarray:
     """h as a float64 array, or a complex128 one when its dtype is complex,
-    once it is known to be a nonempty, square, finite and Hermitian matrix,
-    or a stack of such matrices of one size, of shape (m, n, n).
+    once it is known to be a nonempty, square, finite and Hermitian matrix.
 
-    Hermiticity is tested on the real and imaginary parts of each matrix,
-    against HERMITIAN_RTOL times their largest entry: a matrix built as
-    D H D^dag carries a few ulps of rounding, while eigh, reading only one
-    triangle, would silently answer for a different matrix than a genuinely
+    Hermiticity is tested on the real and imaginary parts, against
+    HERMITIAN_RTOL times their largest entry: a matrix built as D H D^dag
+    carries a few ulps of rounding, while eigh, reading only one triangle,
+    would silently answer for a different matrix than a genuinely
     non-Hermitian input.
     """
     h = np.asarray(h)
-    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2] or not h.size:
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
         raise ValueError(f"Hamiltonian must be a nonempty square matrix, got shape {h.shape}")
     integer = h.dtype.kind in "biu"  # every integer is finite as a float
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
@@ -95,21 +113,17 @@ def require_hermitian(h) -> np.ndarray:
         raise ValueError("Hamiltonian has non-finite entries")
     # the real part symmetric, the imaginary part antisymmetric
     parts = (h.real, h.imag) if np.iscomplexobj(h) else (h.real,)
-    asym = np.abs(parts[0] - parts[0].swapaxes(-2, -1))
+    asym = np.abs(parts[0] - parts[0].T)
     if len(parts) == 2:
-        asym = np.maximum(asym, np.abs(parts[1] + parts[1].swapaxes(-2, -1)))
+        asym = np.maximum(asym, np.abs(parts[1] + parts[1].T))
     if asym.any():  # an exactly Hermitian matrix passes at any scale
-        each = (-2, -1)
-        asym = asym.max(axis=each)
-        scale = np.max([np.abs(part).max(axis=each) for part in parts], axis=0)
-        bad = asym > HERMITIAN_RTOL * scale
-        if bad.any():
-            raise ValueError(
-                f"Hamiltonian is not Hermitian (largest asymmetry {asym[bad].max():.3g})")
+        worst = asym.max()
+        if worst > HERMITIAN_RTOL * max(np.abs(part).max() for part in parts):
+            raise ValueError(f"Hamiltonian is not Hermitian (largest asymmetry {worst:.3g})")
     return h
 
 
-def decompose(h):
+def decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, grouping near-equal eigenvalues.
 
     h is validated by require_hermitian first.  An h without imaginary part,
@@ -119,66 +133,16 @@ def decompose(h):
     An integer (or bool) matrix caps the denominators of its gap ratios at
     min(MAX_DENOMINATOR, 4R), R its largest absolute row sum: a support with
     commensurable gaps holds eigenvalues (alpha + b_k sqrt(Delta)) / 2 in
-    [-R, R] (Godsil, ELA 23, 2012).
-
-    A stack h of shape (m, n, n) gives the list of its m decompositions, each
-    equal bit for bit to that of its matrix alone: one eigh call decomposes
-    the matrices without imaginary part, and one more those with one.  A
-    single matrix is decomposed as the stack of one.
+    [-R, R] (Godsil, ELA 23, 2012).  h is decomposed as the stack of one.
     """
-    h = np.asarray(h)
-    integer = h.dtype.kind in "biu"  # read before require_hermitian makes h float
-    stack = require_hermitian(h).reshape(-1, *h.shape[-2:])
-    real = [True] * len(stack)
-    if np.iscomplexobj(stack):
-        real = (~stack.imag.any(axis=(1, 2))).tolist()
-    decs = [None] * len(stack)
-    for kind in set(real):  # each kind by its own solver, then back in stack order
-        rows = [i for i, r in enumerate(real) if r == kind]
-        part = stack if len(rows) == len(stack) else stack[rows]  # no copy of one kind
-        part = _decompose_stack(part.real if kind else part, kind, integer)
-        for i, row in enumerate(rows):
-            decs[row] = part[i]
-    return decs if h.ndim == 3 else decs[0]
+    integer = np.asarray(h).dtype.kind in "biu"  # read before require_hermitian makes h float
+    h = require_hermitian(h)
+    real = not (np.iscomplexobj(h) and h.imag.any())
+    return _decompose_stack((h.real if real else h)[None], real, integer)
 
 
-class _Stack:
-    """Decompositions of m matrices of one size and kind, side by side:
-    matrix i has the columns i n to i n + n - 1 of vectors and the
-    eigenspaces offsets[i] to offsets[i + 1] - 1; eigenspace k has the
-    eigenvalue eigenvalues[k] and begins at column starts[k]; caps[i] caps
-    matrix i's gap ratio denominators.  stack[i] builds matrix i's
-    decomposition."""
-
-    def __init__(self, eigenvalues, vectors, starts, offsets, real, caps):
-        self.eigenvalues, self.vectors, self.starts = eigenvalues, vectors, starts
-        self.offsets, self.real, self.caps = offsets, real, caps
-
-    @classmethod
-    def of(cls, decs) -> "_Stack":
-        """The stack of a nonempty list of decompositions of one size and kind."""
-        if not decs:
-            raise ValueError("no decomposition given")
-        if len({(d.n, d.real) for d in decs}) > 1:
-            raise ValueError(
-                "decompositions must share their size and their kind (real or complex)")
-        return cls([lam for d in decs for lam in d.eigenvalues],
-                   np.concatenate([d.vectors for d in decs], axis=1),
-                   np.concatenate([d.starts + i * d.n for i, d in enumerate(decs)]),
-                   [0, *itertools.accumulate(d.num_eigenspaces for d in decs)],
-                   decs[0].real, [d._max_denominator for d in decs])
-
-    def __getitem__(self, i: int) -> SpectralDecomposition:
-        n, (o, e) = self.vectors.shape[0], self.offsets[i:i + 2]
-        dec = SpectralDecomposition(tuple(self.eigenvalues[o:e]),
-                                    np.ascontiguousarray(self.vectors[:, i * n:i * n + n]),
-                                    self.starts[o:e] - i * n, self.real)
-        object.__setattr__(dec, "_max_denominator", self.caps[i])
-        return dec
-
-
-def _decompose_stack(stack, real: bool, integer: bool) -> _Stack:
-    """The decompositions of an (m, n, n) stack of Hermitian matrices, by one
+def _decompose_stack(stack, real: bool, integer: bool) -> SpectralDecomposition:
+    """The decomposition of an (m, n, n) stack of Hermitian matrices, by one
     eigh call; each matrix of an integer-valued stack has its own 4R cap."""
     try:
         vals, vecs = np.linalg.eigh(stack)
@@ -196,29 +160,25 @@ def _decompose_stack(stack, real: bool, integer: bool) -> _Stack:
     starts = np.flatnonzero(new)  # column c of matrix i is column i n + c side by side
     flat = vals.ravel()
     lams, bounds = flat.tolist(), [*starts.tolist(), m * n]
-    eigenvalues = [
+    eigenvalues = tuple([
         # np.mean's arithmetic (a sum, then one division) without its overhead
         lams[s] if e - s == 1 else float(np.add.reduce(flat[s:e]) / (e - s))
         for s, e in zip(bounds, bounds[1:])
-    ]
-    caps = [MAX_DENOMINATOR] * m
+    ])
+    caps = (MAX_DENOMINATOR,) * m
     if integer:  # R, the largest absolute row sum, is exact in float64 below 2**53
-        caps = [min(MAX_DENOMINATOR, 4 * int(r))
-                for r in np.abs(stack).sum(axis=2).max(axis=1).tolist()]
-    return _Stack(eigenvalues, vecs.transpose(1, 0, 2).reshape(n, m * n), starts,
-                  [0, *itertools.accumulate(new.sum(axis=1).tolist())], real, caps)
-
-
-def _decompose_one(h) -> SpectralDecomposition:
-    """decompose(h) for one matrix h, where a stack of them is a ValueError."""
-    if np.ndim(h) != 2:
-        raise ValueError(f"Hamiltonian must be a nonempty square matrix, got shape {np.shape(h)}")
-    return decompose(h)
+        caps = tuple(min(MAX_DENOMINATOR, 4 * int(r))
+                     for r in np.abs(stack).sum(axis=2).max(axis=1).tolist())
+    dec = SpectralDecomposition(eigenvalues, vecs.transpose(1, 0, 2).reshape(n, m * n),
+                                starts, real)
+    offsets = (0, *itertools.accumulate(new.sum(axis=1).tolist()[:-1]))
+    vars(dec).update(offsets=offsets, caps=caps)  # fields the constructor does not take
+    return dec
 
 
 def _decomposition(h) -> SpectralDecomposition:
-    """h itself when it is a decomposition already, else _decompose_one(h)."""
-    return h if isinstance(h, SpectralDecomposition) else _decompose_one(h)
+    """h itself when it is a decomposition already, else decompose(h)."""
+    return h if isinstance(h, SpectralDecomposition) else decompose(h)
 
 
 # -- exact integer characteristic polynomial ---------------------------------

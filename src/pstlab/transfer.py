@@ -1,12 +1,12 @@
 """Perfect state transfer decision procedure and time evolution.
 
-decide tells, for any list of vertex pairs (a, b) on one decomposition, or
-on each of several decompositions of one size at once, whether
-e^{-iHt0}|a> = e^{i phi}|b> is achievable for some t0, via the eigenspace
-weight/proportionality test and one exact phase test on the integer gap
-structure of the supported spectrum, for real and complex H alike;
-check_transfer is decide for one pair.  Every positive verdict is
-confirmed by direct evolution before it is returned.
+decide tells, for any list of vertex pairs (a, b) on one decomposition,
+whether e^{-iHt0}|a> = e^{i phi}|b> is achievable for some t0, via the
+eigenspace weight/proportionality test and one exact phase test on the
+integer gap structure of the supported spectrum, for real and complex H
+alike; check_transfer is decide for one pair.  Every positive verdict is
+confirmed by direct evolution before it is returned.  Only the census
+decides a stack of decompositions at once, through decide's core _decide.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from .graphs import _require_vertices
 from .spectral import (
     CommensurabilityResult,
     SpectralDecomposition,
-    _decompose_one,
     _decomposition,
     _real_gcd,
-    _Stack,
+    decompose,
 )
 
 PERFECT = "perfect"
@@ -35,6 +34,7 @@ SUPPORT_TOL = 1e-9  # |P_k|v>| at or below this: eigenspace k does not support v
 WEIGHT_TOL = 1e-8  # allowed | |s_k| - 1 | and |P_k|b> - s_k P_k|a>|
 FIDELITY_TOL = 1e-9  # a fidelity of 1 - FIDELITY_TOL or more counts as perfect
 PHASE_REALNESS_TOL = 1e-7  # allowed distance of (phi_0 - phi_k) / pi from an integer
+NORM_TOL = 1e-10  # allowed | ||state|| - 1 | of a state handed to evolve
 
 
 class VertexCoincide(ValueError):
@@ -79,8 +79,10 @@ class TransferVerdict:
 def evolve(h, state: np.ndarray, t: float) -> np.ndarray:
     """e^{-iHt} |state>; h is a matrix or its SpectralDecomposition."""
     state = np.asarray(state, dtype=complex)
-    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
         raise ValueError("state must be normalized")
+    if not math.isfinite(t):
+        raise ValueError("time must be finite")
     dec = _decomposition(h)
     v = dec.vectors
     phases = np.exp(-1j * np.asarray(dec.eigenvalues) * t)[dec.column_space]
@@ -90,6 +92,8 @@ def evolve(h, state: np.ndarray, t: float) -> np.ndarray:
 def fidelity(h, a: int, b: int, t: float):
     """(amplitude <b|e^{-iHt}|a>, its magnitude); h is a matrix or its
     SpectralDecomposition."""
+    if not math.isfinite(t):
+        raise ValueError("time must be finite")
     dec = _decomposition(h)
     terms = np.exp(-1j * np.asarray(dec.eigenvalues) * t) * dec.pair_coefficients(a, b)
     # a running sum in spectrum order: np.sum and a BLAS product group the
@@ -113,6 +117,8 @@ def fidelity_curve(dec: SpectralDecomposition, a: int, b, times: np.ndarray) -> 
     vertices b, one column per vertex.  exp(-i times x lambda) is formed once,
     and each column is its own matrix-vector product with it, so it has the
     bits of the curve of its vertex alone."""
+    if not np.isfinite(times).all():
+        raise ValueError("time must be finite")
     one = np.ndim(b) == 0
     phases = np.exp(-1j * np.outer(times, dec.eigenvalues))
     curves = [phases @ dec.pair_coefficients(a, t) for t in ([b] if one else b)]
@@ -125,26 +131,21 @@ def fidelity_curve(dec: SpectralDecomposition, a: int, b, times: np.ndarray) -> 
 def weight_test(dec, sources, targets):
     """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for each pair (sources[j], targets[j]).
 
-    dec is a decomposition, or a list or stack of decompositions of one size
-    and kind, whose eigenspaces then follow one another in that order.  Returns
-    (supported, ratios, failed), (pairs x eigenspaces) arrays: both vertices
-    have weight on P_k; s_k = P_k[a,b] / P_k[a,a] where supported; eigenspace
-    k fails the test, by supporting just one of the two vertices or by
-    breaking the proportionality.
+    Returns (supported, ratios, failed), (pairs x eigenspaces) arrays: both
+    vertices have weight on P_k; s_k = P_k[a,b] / P_k[a,a] where supported;
+    eigenspace k fails the test, by supporting just one of the two vertices
+    or by breaking the proportionality.
 
-    P_k[a,b] sums V[a,m] conj(V[b,m]) over the columns m of eigenspace k.  One
-    np.add.reduceat takes these sums over the columns of every decomposition
-    side by side, and each sum is the one that decomposition alone would give.
-    On an eigenspace of dimension two or more, |s_k| = 1 allows P_k[b,b] >
-    P_k[a,a], so there the residual |P_k|b> - s_k P_k|a>| is bounded too, from
-    the eigenbasis coordinates, since P_k[b,b] - |P_k[a,b]|^2 / P_k[a,a]
-    would keep only half the digits.  When some decomposition is degenerate,
+    P_k[a,b] sums V[a,m] conj(V[b,m]) over the columns m of eigenspace k, all
+    in one np.add.reduceat; on the census's stack of decompositions, each sum
+    is the one its matrix alone would give.  On an eigenspace of dimension
+    two or more, |s_k| = 1 allows P_k[b,b] > P_k[a,a], so there the residual
+    |P_k|b> - s_k P_k|a>| is bounded too, from the eigenbasis coordinates,
+    since P_k[b,b] - |P_k[a,b]|^2 / P_k[a,a] would keep only half the digits.  When some decomposition is degenerate,
     the residual is bounded on every eigenspace: on one of dimension one it
     is a few ulps, so that bound changes no verdict.  Every array is
     (pairs x columns) at most.
     """
-    if not isinstance(dec, _Stack):
-        dec = _Stack.of([dec] if isinstance(dec, SpectralDecomposition) else list(dec))
     vectors, starts = dec.vectors, dec.starts
     va, vb = rows = vectors[np.array((sources, targets))]
     sq = np.add.reduceat(_abs2(rows), starts, axis=2)  # P_k[a,a] and P_k[b,b]
@@ -165,45 +166,42 @@ def weight_test(dec, sources, targets):
 
 def check_transfer(h, a: int, b: int) -> TransferVerdict:
     """Decide perfect state transfer from vertex a to vertex b under H."""
-    return decide(_decompose_one(h), [(a, b)])[0]
+    return decide(decompose(h), [(a, b)])[0]
 
 
-def decide(dec, pairs) -> list:
+def decide(dec: SpectralDecomposition, pairs) -> list:
     """The verdict for a -> b, for every pair (a, b) in pairs, on one decomposition.
 
     One weight test serves every pair; the pairs failing it are settled as
     arrays and share one no-transfer verdict per first failing eigenspace.
     The phase stage runs for the pairs that pass it, with one gap structure
-    per supported set.  dec may also be a list of decompositions of one size
-    and kind: then the result holds, for each, the verdicts it alone would
-    give.  Raises VertexCoincide for a pair (a, a), IndexError for a vertex
-    that is not an integer in 0..n-1, and ValueError when pairs is not a
-    sequence of pairs.
+    per supported set.  Raises VertexCoincide for a pair (a, a), IndexError
+    for a vertex that is not an integer in 0..n-1, and ValueError when pairs
+    is not a sequence of pairs.
     """
-    one = isinstance(dec, SpectralDecomposition)
-    decs = [dec] if one else list(dec)
     array = np.asarray(pairs)
-    if not array.size or not decs:
-        return [] if one else [[] for _ in decs]
+    if not array.size:
+        return []
     if array.ndim != 2 or array.shape[1] != 2:
         raise ValueError(f"pairs must be (source, target) pairs, got shape {array.shape}")
-    _require_vertices(decs[0].n, pairs)  # as given, where a bool is still a bool
+    _require_vertices(dec.n, pairs)  # as given, where a bool is still a bool
     if (array[:, 0] == array[:, 1]).any():
         raise VertexCoincide("source and target must differ")
-    verdict = _decide(_Stack.of(decs), array)[1]
-    out = [[verdict(i, j, d) for j in range(len(array))] for i, d in enumerate(decs)]
-    return out[0] if one else out
+    verdict = _decide(dec, array)[1]
+    return [verdict(0, j, dec) for j in range(len(array))]
 
 
-def _decide(stack: _Stack, array: np.ndarray) -> tuple:
-    """decide's core on a stack and an array of valid pairs, as (open,
-    verdict): verdict(i, j, dec) is the verdict of pair j on matrix i, whose
-    decomposition is dec.  open lists the (i, j) that pass the weight test,
-    but those a real stack settles by their incommensurable gaps alone, as a
-    parity obstruction; only decide asks for the verdicts of the others."""
+def _decide(stack: SpectralDecomposition, array: np.ndarray) -> tuple:
+    """decide's core on a decomposition, or on the census's stack of them,
+    and an array of valid pairs, as (open, verdict): verdict(i, j, dec) is
+    the verdict of pair j on matrix i, whose decomposition is dec.  open
+    lists the (i, j) that pass the weight test, but those a real stack
+    settles by their incommensurable gaps alone, as a parity obstruction;
+    only decide asks for the verdicts of the others."""
     supported, ratios, failed = weight_test(stack, *array.T)
-    offsets, lams = stack.offsets, stack.eigenvalues
-    passing = ~np.logical_or.reduceat(failed, offsets[:-1], axis=1).T
+    lams = stack.eigenvalues
+    offsets = [*stack.offsets, len(lams)]
+    passing = ~np.logical_or.reduceat(failed, stack.offsets, axis=1).T
     supports, gaps, mismatch = {}, {}, {}  # (i, j) -> supported eigenspaces -> gap structure
     for i, j in np.argwhere(passing).tolist():
         o, e = offsets[i], offsets[i + 1]

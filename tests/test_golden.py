@@ -12,7 +12,6 @@ P3 and the 3-cube; the text goldens pin the text reports of `bounds`
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from pstlab import (census, complete_graph, decide, decompose, hypercube_graph,
@@ -57,17 +56,17 @@ def plain(verdict) -> tuple:
 
 def test_verdicts_n6_digest(small_connected_graphs):
     # graph by graph, each model in MODELS order, every ordered pair; one
-    # stacked decompose and one decide per size.  7,732 verdicts.  Like the
+    # decompose and one decide per matrix.  7,732 verdicts.  Like the
     # goldens below, the digest holds the last bits of one LAPACK build:
     # reasons print eigenvalues and fidelities, and t0 and the phases are
     # compared to the bit
     digest = hashlib.sha256()
     for n in range(2, 7):
-        hams = [model_hamiltonian(g, model) for g in small_connected_graphs[n] for model in MODELS]
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        for verdicts in decide(decompose(np.array(hams)), pairs):
-            for verdict in verdicts:
-                digest.update(repr(plain(verdict)).encode())
+        for g in small_connected_graphs[n]:
+            for model in MODELS:
+                for verdict in decide(decompose(model_hamiltonian(g, model)), pairs):
+                    digest.update(repr(plain(verdict)).encode())
     assert digest.hexdigest() == VERDICTS_N6_SHA256
 
 

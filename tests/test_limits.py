@@ -69,6 +69,19 @@ class TestAutocorrelationZeros:
         with pytest.raises(ValueError, match="t0 must be finite and positive"):
             autocorrelation_zeros(A_K2, 0, t0)
 
+    def test_rejects_a_grid_too_coarse_for_the_spectrum(self):
+        # eigenvalues 0, +-2, +-4: six zeros per period 2 pi from site 1.  At
+        # t0 = 2000 pi + 0.1 the grid once found 2,000 of the 6,000
+        dec = decompose(STD5)
+        assert len(autocorrelation_zeros(dec, 1, 200 * math.pi)) == 600
+        # at the limit (lambda_max - lambda_min) t0 = ZERO_GRID the grid still
+        # finds every zero (1,194, as a 2e7-point scan counts); past it, none
+        longest = ZERO_GRID / (dec.eigenvalues[-1] - dec.eigenvalues[0])
+        assert len(autocorrelation_zeros(dec, 1, longest)) == 1194
+        for t0 in (math.nextafter(longest, math.inf), 2000 * math.pi + 0.1):
+            with pytest.raises(ValueError, match="too long for the zero grid"):
+                autocorrelation_zeros(STD5, 1, t0)
+
     @pytest.mark.parametrize("k", [-20, -10, 10, 20, 30, 40, 50])
     def test_zeros_scale_with_time(self, k):
         # H -> 2^k H maps the zeros t to t / 2^k; at 2^40 the grid spacing is

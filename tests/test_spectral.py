@@ -125,45 +125,24 @@ class TestDecompose:
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
     def test_stack_equals_one_by_one(self, small_connected_graphs):
-        # real, complex, degenerate (K_n, the Laplacians) and mixed stacks
+        # integer census stacks, degenerate ones (K_n, the Laplacians, 0 and
+        # 3 I) among them: matrix i of the stack is its decompose, bit for bit
         graphs = small_connected_graphs[5]
-        real = [mat for g in graphs for mat in (adjacency_hamiltonian(g),
-                                                laplacian_hamiltonian(g))]
-        d = np.exp(1j * np.arange(5))
-        gauged = [d[:, None] * mat * d.conj()[None, :] for mat in real[:12]]
-        chain = chain_hamiltonian(standard_pst_chain_couplings(5))
-        for stack in (real, [mat.astype(float) for mat in real], gauged,
-                      [real[0].astype(complex), gauged[1], chain, gauged[2], real[3]],
-                      [np.zeros((5, 5)), 3 * np.eye(5), chain]):
-            decs = decompose(np.stack(stack))
-            assert len(decs) == len(stack)
-            for dec, mat in zip(decs, stack):
-                self._assert_same_bits(dec, decompose(mat))
-        assert any(dec.num_eigenspaces < dec.n for dec in decompose(np.stack(real)))
+        census = [mat for g in graphs for mat in (adjacency_hamiltonian(g),
+                                                  laplacian_hamiltonian(g))]
+        for mats in (census, [np.zeros((5, 5), dtype=int), 3 * np.eye(5, dtype=int),
+                              adjacency_hamiltonian(complete_graph(5))]):
+            stack = spectral._decompose_stack(np.stack(mats), True, True)
+            assert len(stack.offsets) == len(stack.caps) == len(mats)
+            for i, mat in enumerate(mats):
+                dec = decompose(mat)
+                self._assert_same_bits(stack._matrix(i), dec)
+                assert stack._matrix(i).caps == dec.caps
+                assert dec.offsets == (0,) and dec._matrix(0) is dec
+        assert any(decompose(mat).num_eigenspaces < 5 for mat in census)
 
-    def test_stack_of_one_is_the_matrix(self):
-        mat = adjacency_hamiltonian(hypercube_graph(3))
-        [dec] = decompose(mat[None])
-        self._assert_same_bits(dec, decompose(mat))
-
-    def test_stack_takes_one_eigh_call_per_kind(self, eigh_calls):
-        a = adjacency_hamiltonian(P3)
-        decompose(np.stack([a, 2 * a, a.T]))
-        assert eigh_calls == [1]
-        decompose(np.stack([a, weighted_hamiltonian(P3, {(0, 1): 1j, (1, 2): 1})]))
-        assert eigh_calls == [3]
-
-    def test_stack_with_one_non_hermitian_matrix_raises(self):
-        a = adjacency_hamiltonian(P3).astype(float)
-        bad = a.copy()
-        bad[1, 0] += 1e-6
-        # each matrix is held to its own largest entry: 1e-6 is within
-        # HERMITIAN_RTOL of the 1e6-scaled neighbour, not of bad's own
-        for stack in ([bad], [a, bad, 1e6 * a], [1e6 * a, bad.astype(complex)]):
-            with pytest.raises(ValueError, match="not Hermitian"):
-                decompose(np.stack(stack))
-
-    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 3, 0), (2, 3, 4), (1, 1, 3, 3), (3,)])
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 3, 0), (2, 3, 4), (1, 1, 3, 3), (3,),
+                                       (2, 3, 3)])
     def test_rejects_bad_stack_shapes(self, shape):
         with pytest.raises(ValueError, match="nonempty square"):
             decompose(np.zeros(shape))
@@ -534,17 +513,18 @@ class TestRealGcd:
     def test_integer_matrix_caps_the_denominator_at_4r(self):
         # P3: R = 2, so a gap ratio may have a denominator of 4R = 8, not 9
         a = adjacency_hamiltonian(P3)
-        cap = decompose(a)._max_denominator
-        assert cap == 8 and decompose(a.astype(bool))._max_denominator == 8
+        [cap] = decompose(a).caps
+        assert cap == 8 and decompose(a.astype(bool)).caps == (8,)
         assert spectral._real_gcd([8.0, 9.0], cap).integers == (8, 9)
         assert not spectral._real_gcd([9.0, 10.0], cap).commensurable
         assert real_gcd([9.0, 10.0]).integers == (9, 10)
         # float input, and an R too large to cap, keep MAX_DENOMINATOR; a
-        # stack caps each of its matrices by its own R
-        assert decompose(a.astype(float))._max_denominator == spectral.MAX_DENOMINATOR
+        # census stack caps each of its matrices by its own R
+        assert decompose(a.astype(float)).caps == (spectral.MAX_DENOMINATOR,)
         huge = np.array([[0, 10**6], [10**6, 0]])
-        caps = [d._max_denominator for d in decompose(np.stack([huge, 3 * a[:2, :2]]))]
-        assert caps == [spectral.MAX_DENOMINATOR, 12]
+        stack = spectral._decompose_stack(np.stack([huge, 3 * a[:2, :2]]), True, True)
+        assert stack.caps == (spectral.MAX_DENOMINATOR, 12)
+        assert [stack._matrix(i).caps for i in (0, 1)] == [(spectral.MAX_DENOMINATOR,), (12,)]
 
     def test_cap_is_not_a_parameter(self):
         # only the input sets the cap: neither real_gcd nor the constructor takes one

@@ -36,9 +36,12 @@ from pstlab import (
     symmetry_operator,
     weighted_hamiltonian,
 )
+from pstlab import transfer
+from pstlab.spectral import _decompose_stack
 from pstlab.transfer import (
     PhaseUndefined,
     _bezout,
+    _decide,
     weight_test,
 )
 from pstlab.limits import refine_extrema
@@ -56,6 +59,9 @@ A_K2 = adjacency_hamiltonian(K2).astype(float)
 A_P3 = adjacency_hamiltonian(P3).astype(float)
 A_K3 = adjacency_hamiltonian(K3).astype(float)
 L_K2 = laplacian_hamiltonian(K2).astype(float)
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+NON_FINITE_IDS = ["nan", "inf", "-inf"]
 
 
 def basis_state(n, v):
@@ -89,6 +95,12 @@ class TestEvolve:
     def test_requires_normalized_state(self):
         with pytest.raises(ValueError):
             evolve(A_K2, np.array([1.0, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("t", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_rejects_non_finite_time(self, t):
+        # once a state of NaNs
+        with pytest.raises(ValueError, match="time must be finite"):
+            evolve(A_K2, basis_state(2, 0), t)
 
     def test_matches_eigh_exponential(self):
         # against e^{-iHt} built from single eigenvectors, on degenerate and
@@ -164,6 +176,18 @@ class TestFidelity:
             phases = np.exp(-1j * np.outer(times, np.asarray(dec.eigenvalues)))
             want = phases @ dec.pair_coefficients(a, b)
             assert fidelity_curve(dec, a, b, times).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_rejects_non_finite_time(self, t):
+        # once (nan, nan), with RuntimeWarnings
+        with pytest.raises(ValueError, match="time must be finite"):
+            fidelity(A_P3, 0, 2, t)
+
+    @pytest.mark.parametrize("t", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_curve_rejects_non_finite_time(self, t):
+        # once a NaN row among finite ones
+        with pytest.raises(ValueError, match="time must be finite"):
+            fidelity_curve(decompose(A_P3), 0, [1, 2], np.array([0.0, t, 1.0]))
 
     @pytest.mark.parametrize("a,b", [(-1, 0), (0, -1), (3, 0), (0, 3)])
     def test_vertex_out_of_range(self, a, b):
@@ -454,7 +478,7 @@ class TestValidation:
             check_transfer(h, 0, 1)
 
     def test_one_matrix_functions_reject_a_stack(self):
-        # decompose takes a stack; the functions that answer for one H do not
+        # only the census stacks; every public function answers for one H
         from pstlab import rate_report, routing_impossibility_scan
 
         stack = np.stack([A_P3, A_P3])
@@ -523,6 +547,14 @@ def census_matrices() -> dict:
                          for model in MODELS]) for n in range(2, 8)}
 
 
+def stack_verdicts(stack, pairs) -> list:
+    """The verdicts of every matrix of a census stack on pairs, from _decide,
+    each made on its matrix's own decomposition, as the census makes them."""
+    verdict = _decide(stack, np.array(pairs))[1]
+    return [[verdict(i, j, stack._matrix(i)) for j in range(len(pairs))]
+            for i in range(len(stack.offsets))]
+
+
 class TestIntegerGapCap:
     """An integer H caps real_gcd's denominators at 4R; no verdict may move."""
 
@@ -550,10 +582,10 @@ class TestIntegerGapCap:
                                   decide(decompose(h.astype(float)), pairs))
 
     def test_census_statuses_agree(self):
-        for n, stack in census_matrices().items():
+        for n, hams in census_matrices().items():
             pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-            exact = decide(decompose(stack), pairs)
-            floats = decide(decompose(stack.astype(float)), pairs)
+            exact = stack_verdicts(_decompose_stack(hams, True, True), pairs)
+            floats = stack_verdicts(_decompose_stack(hams.astype(float), True, False), pairs)
             for v, w in zip(exact, floats, strict=True):
                 assert [x.status for x in v] == [x.status for x in w]
                 self._assert_same_perfect(v, w)
@@ -686,31 +718,30 @@ class TestDecide:
 
     @staticmethod
     def _stacks(small_connected_graphs):
-        """Lists of decompositions of one size and kind: every graph of a
-        size under both models, degenerate or not, then gauged chains and
-        flux triangles, which are complex."""
+        """(matrices, their census stack): every graph of a size under both
+        models, as the census stacks them, degenerate or not."""
         for n in range(2, 7):
-            yield decompose(np.stack([model_hamiltonian(g, model) for model in MODELS
-                                      for g in small_connected_graphs[n]]))
-        yield [decompose(gauged_pst_chain(6, seed)) for seed in range(4)]
-        yield [decompose(flux_triangle(flux)) for flux in (0.3, math.pi / 2, math.pi)]
+            mats = [model_hamiltonian(g, model) for model in MODELS
+                    for g in small_connected_graphs[n]]
+            yield mats, _decompose_stack(np.stack(mats), True, True)
 
     def test_several_decompositions_equal_one_at_a_time(self, small_connected_graphs):
-        for decs in self._stacks(small_connected_graphs):
-            n = decs[0].n
+        for mats, stack in self._stacks(small_connected_graphs):
+            n = stack.n
             pairs = [(a, b) for a in range(n) for b in range(n) if b != a]
-            joint = decide(decs, pairs)
-            assert len(joint) == len(decs)
-            for dec, verdicts in zip(decs, joint):
-                assert list(map(repr, verdicts)) == list(map(repr, decide(dec, pairs)))
+            joint = stack_verdicts(stack, pairs)
+            assert len(joint) == len(mats)
+            for mat, verdicts in zip(mats, joint):
+                assert list(map(repr, verdicts)) == list(map(repr, decide(decompose(mat), pairs)))
 
     def test_joint_weight_test_sums_are_each_decompositions_own(self, small_connected_graphs):
-        for decs in self._stacks(small_connected_graphs):
-            n = decs[0].n
+        for mats, stack in self._stacks(small_connected_graphs):
+            n = stack.n
             sources, targets = np.array([(a, b) for a in range(n) for b in range(n) if b != a]).T
-            joint = weight_test(decs, sources, targets)
+            joint = weight_test(stack, sources, targets)
             offset = 0
-            for dec in decs:
+            for mat in mats:
+                dec = decompose(mat)
                 columns = slice(offset, offset + dec.num_eigenspaces)
                 for together, alone in zip(joint, weight_test(dec, sources, targets)):
                     assert together[:, columns].tobytes() == alone.tobytes()
@@ -721,23 +752,30 @@ class TestDecide:
         # P4's end-to-end pair passes the weight test, on its four eigenspaces
         # 2cos(k pi / 5) with alternating signs, and its gaps are
         # incommensurable: the census settles it without a verdict, decide
-        # still gives the phase stage's
+        # and the census stack's verdict still give the phase stage's
         path = model_hamiltonian(path_graph(4), "adjacency")
-        for dec in (decompose(path), decompose(np.stack([path, path]))[1]):
-            verdict = decide(dec, [(0, 3)])[0]
+        stack = _decompose_stack(np.stack([path, path]), True, True)
+        assert _decide(stack, np.array([(0, 3)]))[0] == []
+        for verdict in (decide(decompose(path), [(0, 3)])[0],
+                        stack_verdicts(stack, [(0, 3)])[1][0]):
             assert verdict == TransferVerdict(
                 NO_TRANSFER, reason="parity obstruction (no commensurable gap structure)",
                 eigenphases=(math.pi, 0.0, math.pi, 0.0),
                 gap_structure=CommensurabilityResult(False, 0.0, ()))
             assert all(type(phi) is float for phi in verdict.eigenphases)
 
-    def test_several_decompositions_must_share_size_and_kind(self):
-        real, gauged = decompose(A_P3), decompose(gauged_pst_chain(3, 0))
-        for decs in ([real, decompose(A_K2)], [real, gauged]):
-            with pytest.raises(ValueError, match="size and their kind"):
-                decide(decs, [(0, 1)])
-        assert decide([], [(0, 1)]) == []
-        assert decide([real, real], []) == [[], []]
+    def test_weight_test_reads_the_decomposition_itself(self, monkeypatch):
+        # one matrix is the stack of one: decide restacks nothing
+        seen = []
+
+        def spy(dec, sources, targets):
+            seen.append(dec)
+            return weight_test(dec, sources, targets)
+
+        monkeypatch.setattr(transfer, "weight_test", spy)
+        dec = decompose(A_P3)
+        assert decide(dec, [(0, 2), (0, 1)])[0].is_perfect
+        assert len(seen) == 1 and seen[0] is dec
 
     def test_bad_pairs(self):
         dec = decompose(A_P3)
