@@ -20,7 +20,7 @@ import numpy as np
 
 from . import graphs as G
 from .hamiltonians import MODELS, model_hamiltonian, weighted_hamiltonian
-from .limits import MOHAR_ALPHAS, laplacian_diameter_bounds, rate_report
+from .limits import laplacian_diameter_bounds, rate_report
 from .search import (
     _check_models,
     _check_workers,
@@ -30,11 +30,7 @@ from .search import (
     write_records,
     write_records_csv,
 )
-from .spectral import (
-    _char_poly_and_roots,
-    decompose,
-    require_hermitian,
-)
+from .spectral import _char_poly_and_roots, decompose
 from .transfer import NotPerfect, check_transfer, fidelity_curve
 
 EXIT_PERFECT = 0
@@ -96,31 +92,14 @@ def load_graph(path: str) -> G.Graph:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    """Weighted Hamiltonian: JSON couplings format or dense re/im CSV."""
-    text = _read(path)
-    if text.startswith("{"):
-        try:
-            data = json.loads(text)
-            g = G.Graph(data["n"], frozenset((u, v) for u, v, _, _ in data["couplings"]))
-            couplings = {(u, v): complex(re, im) for u, v, re, im in data["couplings"]}
-            fields = data.get("fields")
-            return weighted_hamiltonian(g, couplings, fields)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ParseFailure(f"bad JSON Hamiltonian: {exc}") from exc
+    """Weighted Hamiltonian from the JSON couplings format."""
     try:
-        rows = [
-            [float(x) for x in row]
-            for row in csv.reader(text.splitlines())
-            if row
-        ]
-        n = len(rows)
-        if any(len(r) != 2 * n for r in rows):
-            raise ValueError("each row must hold 2n floats (re/im interleaved)")
-        return require_hermitian(
-            [[complex(r[2 * j], r[2 * j + 1]) for j in range(n)] for r in rows]
-        )
-    except ValueError as exc:
-        raise ParseFailure(f"bad CSV matrix: {exc}") from exc
+        data = json.loads(_read(path))
+        g = G.Graph(data["n"], frozenset((u, v) for u, v, _, _ in data["couplings"]))
+        couplings = {(u, v): complex(re, im) for u, v, re, im in data["couplings"]}
+        return weighted_hamiltonian(g, couplings, data.get("fields"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseFailure(f"bad JSON Hamiltonian: {exc}") from exc
 
 
 def _open_output(path: str, mode: str = "w"):
@@ -240,7 +219,7 @@ def cmd_bounds(args) -> int:
         print("error: give both --source and --target, or neither", file=sys.stderr)
         return EXIT_USAGE
     g = load_graph(args.input)
-    report = laplacian_diameter_bounds(g, tuple(args.alpha or MOHAR_ALPHAS))
+    report = laplacian_diameter_bounds(g)
     payload = asdict(report)
     payload["mohar"] = {str(a): b for a, b in report.mohar.items()}
     if args.source is not None:
@@ -320,7 +299,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p, models=(*MODELS, "weighted")):
-        p.add_argument("input", help="JSON graph/Hamiltonian, graph6, or CSV matrix")
+        p.add_argument("input", help="JSON graph or graph6; JSON couplings with --model weighted")
         p.add_argument("--model", default="adjacency", choices=models)
 
     p = sub.add_parser("check", help="decide perfect transfer")
@@ -343,8 +322,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="diameter and rate bounds")
     add_io(p, MODELS)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--alpha", type=float, action="append",
-                   default=None, help="Mohar bound evaluation points")
     p.add_argument("--source", type=int, default=None)
     p.add_argument("--target", type=int, default=None)
 

@@ -106,22 +106,23 @@ def autocorrelation_zeros(h, a: int, t0: float):
     minimum is a candidate only where both grid neighbours lie above the
     rounding level of f, since where |f| is at that level (near a zero of high
     order, as cos^(N-1) t has at t0 = pi/2) its minima are noise.  Raises
-    ValueError when (lambda_max - lambda_min) t0 > G, where the grid has
-    fewer than 2 pi points per period of the fastest term of |f|^2 and
-    would miss zeros.
+    ValueError when (lambda_max - lambda_min) t0 > G over the eigenvalues
+    whose weight on a is above that level, where the grid has fewer than
+    2 pi points per period of the fastest term of |f|^2 and would miss zeros.
     """
     if not 0 < t0 < math.inf:
         raise ValueError("t0 must be finite and positive")
     dec = _decomposition(h)
     weights = dec.pair_coefficients(a, a).real
     lams = np.asarray(dec.eigenvalues)
-    if (lams[-1] - lams[0]) * t0 > ZERO_GRID:
-        raise ValueError(f"t0 = {t0:.6g} is too long for the zero grid: "
-                         f"(lambda_max - lambda_min) t0 > ZERO_GRID = {ZERO_GRID}")
+    noise = 64 * len(lams) * np.finfo(float).eps * float(np.abs(weights).sum())
+    supported = lams[np.abs(weights) > noise]
+    if (supported[-1] - supported[0]) * t0 > ZERO_GRID:
+        raise ValueError(f"t0 = {t0:.6g} is too long for the zero grid: (lambda_max - "
+                         f"lambda_min) t0 > ZERO_GRID = {ZERO_GRID} on the supported spectrum")
     times = np.linspace(0.0, t0, ZERO_GRID + 1)
     vals = _autocorrelation_grid(lams, weights, t0)
     coarse = max(ZERO_TOL, 4.0 * float(np.abs(lams).max()) * (t0 / ZERO_GRID))
-    noise = 64 * len(lams) * np.finfo(float).eps * float(np.abs(weights).sum())
     left, mid, right = vals[:-2], vals[1:-1], vals[2:]
     minima = 1 + np.flatnonzero((mid <= left) & (mid <= right) & (mid < coarse)
                                 & (left > noise) & (right > noise))
@@ -205,21 +206,19 @@ def _safe_ceil(x: float) -> int:
     return math.ceil(x)
 
 
-def laplacian_diameter_bounds(g: Graph, alphas=MOHAR_ALPHAS) -> DiameterBoundsReport:
-    """Diameter bounds D <= 2d, D+1 <= k, and the Mohar bound at each alpha.
+def laplacian_diameter_bounds(g: Graph) -> DiameterBoundsReport:
+    """Diameter bounds D <= 2d, D+1 <= k, and the Mohar bound at each of MOHAR_ALPHAS.
 
     k is the number of distinct Laplacian eigenvalues, the eigenspaces of
-    its decomposition.  Each alpha must be finite and > 1.
+    its decomposition.
     """
-    if not all(1 < alpha < math.inf for alpha in alphas):
-        raise ValueError(f"each Mohar alpha must be finite and greater than 1, got {alphas}")
     D = diameter(g)
     if D is None:
         raise Disconnected("diameter bounds require a connected graph")
     d = g.max_degree()
     k = decompose(laplacian_hamiltonian(g)).num_eigenspaces
     # the Mohar bound's log term is vacuous for N <= 2
-    mohar = {alpha: _mohar_bound(d, g.n, alpha) for alpha in alphas} if g.n > 2 else {}
+    mohar = {alpha: _mohar_bound(d, g.n, alpha) for alpha in MOHAR_ALPHAS} if g.n > 2 else {}
     bounds = [2 * d, k - 1, *mohar.values()]
     return DiameterBoundsReport(
         D, d, 2 * d, k, k - 1, mohar, D <= min(bounds)

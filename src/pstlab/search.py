@@ -100,8 +100,18 @@ def _graph_to_mask(g: Graph) -> int:
     return mask
 
 
+def _require_enumerable(n: int) -> None:
+    if not (1 <= n <= MAX_ENUMERATION_N):
+        raise NTooLarge(
+            f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_N}; "
+            "ingest a graph6 file for larger corpora"
+        )
+
+
 def canonical_form(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class."""
+    """The canonical representative of g's isomorphism class, for
+    g.n <= MAX_ENUMERATION_N: the search tries all g.n! relabelings."""
+    _require_enumerable(g.n)
     return _mask_to_graph(_canonical_mask(_graph_to_mask(g), g.n), g.n)
 
 
@@ -135,11 +145,7 @@ def _all_graph_classes(n: int) -> list:
 
 def enumerate_connected_graphs(n: int):
     """One canonical representative per connected isomorphism class, n <= 7."""
-    if not (1 <= n <= MAX_ENUMERATION_N):
-        raise NTooLarge(
-            f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_N}; "
-            "ingest a graph6 file for larger corpora"
-        )
+    _require_enumerable(n)
     for mask in _all_graph_classes(n):
         g = _mask_to_graph(mask, n)
         if g.is_connected():

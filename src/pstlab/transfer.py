@@ -112,13 +112,15 @@ def _conj(z: np.ndarray) -> np.ndarray:
     return z.conj() if z.dtype.kind == "c" else z
 
 
-def fidelity_curve(dec: SpectralDecomposition, a: int, b, times: np.ndarray) -> np.ndarray:
+def fidelity_curve(dec, a: int, b, times: np.ndarray) -> np.ndarray:
     """Amplitudes <b|e^{-iHt}|a> on an array of times; for a sequence of
-    vertices b, one column per vertex.  exp(-i times x lambda) is formed once,
-    and each column is its own matrix-vector product with it, so it has the
-    bits of the curve of its vertex alone."""
+    vertices b, one column per vertex; dec is a matrix or its
+    SpectralDecomposition.  exp(-i times x lambda) is formed once, and each
+    column is its own matrix-vector product with it, so it has the bits of
+    the curve of its vertex alone."""
     if not np.isfinite(times).all():
         raise ValueError("time must be finite")
+    dec = _decomposition(dec)
     one = np.ndim(b) == 0
     phases = np.exp(-1j * np.outer(times, dec.eigenvalues))
     curves = [phases @ dec.pair_coefficients(a, t) for t in ([b] if one else b)]
@@ -129,7 +131,8 @@ def fidelity_curve(dec: SpectralDecomposition, a: int, b, times: np.ndarray) -> 
 
 
 def weight_test(dec, sources, targets):
-    """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for each pair (sources[j], targets[j]).
+    """Test P_k|b> = s_k P_k|a> with |s_k| = 1 for each pair (sources[j], targets[j]);
+    dec is a matrix or its SpectralDecomposition.
 
     Returns (supported, ratios, failed), (pairs x eigenspaces) arrays: both
     vertices have weight on P_k; s_k = P_k[a,b] / P_k[a,a] where supported;
@@ -146,6 +149,7 @@ def weight_test(dec, sources, targets):
     is a few ulps, so that bound changes no verdict.  Every array is
     (pairs x columns) at most.
     """
+    dec = _decomposition(dec)
     vectors, starts = dec.vectors, dec.starts
     va, vb = rows = vectors[np.array((sources, targets))]
     sq = np.add.reduceat(_abs2(rows), starts, axis=2)  # P_k[a,a] and P_k[b,b]
@@ -169,8 +173,9 @@ def check_transfer(h, a: int, b: int) -> TransferVerdict:
     return decide(decompose(h), [(a, b)])[0]
 
 
-def decide(dec: SpectralDecomposition, pairs) -> list:
-    """The verdict for a -> b, for every pair (a, b) in pairs, on one decomposition.
+def decide(dec, pairs) -> list:
+    """The verdict for a -> b, for every pair (a, b) in pairs, on one
+    decomposition; dec is a matrix or its SpectralDecomposition.
 
     One weight test serves every pair; the pairs failing it are settled as
     arrays and share one no-transfer verdict per first failing eigenspace.
@@ -179,6 +184,7 @@ def decide(dec: SpectralDecomposition, pairs) -> list:
     for a vertex that is not an integer in 0..n-1, and ValueError when pairs
     is not a sequence of pairs.
     """
+    dec = _decomposition(dec)
     array = np.asarray(pairs)
     if not array.size:
         return []
@@ -286,14 +292,16 @@ def _bezout(z) -> list:
 # -- symmetry operator ----------------------------------------------------------
 
 
-def symmetry_operator(dec: SpectralDecomposition, a: int, b: int) -> np.ndarray:
-    """S = sum_supported e^{i phi_k} P_k + sum_unsupported P_k.
+def symmetry_operator(dec, a: int, b: int) -> np.ndarray:
+    """S = sum_supported e^{i phi_k} P_k + sum_unsupported P_k; dec is a
+    matrix or its SpectralDecomposition.
 
     Satisfies S H S^dag = H and S|a> = |b>; the phases phi_k are the ones the
     weight test finds, and the free phases on unsupported eigenspaces are
     fixed to 1.  Raises PhaseUndefined when the pair fails the weight test,
     since no such S exists then.
     """
+    dec = _decomposition(dec)
     _require_vertices(dec.n, (a, b))
     supported, ratios, failed = weight_test(dec, [a], [b])
     if failed.any():

@@ -39,6 +39,14 @@ def small_connected_graphs():
     return {n: list(enumerate_connected_graphs(n)) for n in range(1, 7)}
 
 
+@pytest.fixture(scope="session")
+def connected_graphs_7():
+    """The 853 connected graphs on 7 vertices, enumerated once per session."""
+    from pstlab import enumerate_connected_graphs
+
+    return list(enumerate_connected_graphs(7))
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """A one-element list counting the numpy.linalg.eigh calls of the test."""

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from pstlab import (
-    chain_hamiltonian,
     complete_graph,
     encode_graph6,
     path_graph,
-    standard_pst_chain_couplings,
 )
 from pstlab import cli, search, spectral
 from pstlab.cli import (
@@ -68,36 +66,24 @@ class TestCheck:
         assert code == EXIT_NO_TRANSFER
         assert "no-transfer" in capsys.readouterr().out
 
-    def test_weighted_csv_matrix(self, tmp_path, capsys):
+    def test_weighted_complex_coupling(self, tmp_path, capsys):
         # K2 with coupling i: gauge-equivalent to the real chain
-        path = tmp_path / "h.csv"
-        path.write_text("0,0,0,1\n0,-1,0,0\n")
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"n": 2, "couplings": [[0, 1, 0.0, 1.0]]}))
         code = main(["check", str(path), "--model", "weighted",
                      "--source", "0", "--target", "1", "--json"])
         assert code == EXIT_PERFECT
         payload = json.loads(capsys.readouterr().out)
         assert payload["t0"] == pytest.approx(math.pi / 2, rel=1e-6)
 
-    def test_csv_matrix_hermitian_to_rounding(self, tmp_path, capsys):
-        # D H D^dag for the PST chain on 8 sites: a few ulps from Hermitian
-        n = 8
-        d = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * math.pi, n))
-        h = d[:, None] * chain_hamiltonian(standard_pst_chain_couplings(n)) * d.conj()[None, :]
-        assert np.abs(h - h.conj().T).max() > 0
+    def test_csv_matrix_is_a_parse_error(self, tmp_path, capsys):
+        # K2 with coupling i as a dense re/im CSV: weighted input is JSON couplings only
         path = tmp_path / "h.csv"
-        path.write_text("\n".join(",".join(f"{x.real!r},{x.imag!r}" for x in row.tolist())
-                                   for row in h))
+        path.write_text("0,0,0,1\n0,-1,0,0\n")
         code = main(["check", str(path), "--model", "weighted",
-                     "--source", "0", "--target", str(n - 1)])
-        assert code == EXIT_PERFECT
-
-    def test_non_hermitian_csv_is_a_parse_error(self, tmp_path, capsys):
-        path = tmp_path / "h.csv"
-        path.write_text("0,0,1,0,0,0\n5,0,0,0,1,0\n0,0,1,0,0,0\n")
-        code = main(["check", str(path), "--model", "weighted",
-                     "--source", "0", "--target", "2"])
+                     "--source", "0", "--target", "1"])
         assert code == EXIT_PARSE
-        assert "not Hermitian" in capsys.readouterr().err
+        assert "bad JSON Hamiltonian" in capsys.readouterr().err
 
     def test_weighted_json_hamiltonian(self, tmp_path, capsys):
         path = tmp_path / "h.json"
@@ -389,17 +375,10 @@ class TestBounds:
         assert list(json.loads(capsys.readouterr().out)["mohar"]) == [
             "2.0", str(math.e), "4.0"]
 
-    def test_custom_alpha(self, p3_file, capsys):
-        code = main(["bounds", p3_file, "--alpha", "3.0", "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert list(payload["mohar"]) == ["3.0"]
-
-    @pytest.mark.parametrize("alpha", ["1", "0", "0.5", "-2", "nan", "inf"])
-    def test_bad_alpha_is_a_usage_error(self, p3_file, capsys, alpha):
-        code = main(["bounds", p3_file, "--alpha", alpha])
-        assert code == EXIT_USAGE
-        assert "finite and greater than 1" in capsys.readouterr().err
+    def test_alpha_is_not_an_option(self, p3_file, capsys):
+        # the Mohar bound is evaluated at MOHAR_ALPHAS only
+        assert main(["bounds", p3_file, "--alpha", "3"]) == EXIT_USAGE
+        assert "--alpha" in capsys.readouterr().err
 
 
 class TestProduct:

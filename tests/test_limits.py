@@ -82,6 +82,16 @@ class TestAutocorrelationZeros:
             with pytest.raises(ValueError, match="too long for the zero grid"):
                 autocorrelation_zeros(STD5, 1, t0)
 
+    def test_only_the_supported_spectrum_bounds_t0(self):
+        # K2 and 1000 K2: vertex 0 sees only the eigenvalues +-1, whose zeros
+        # the grid resolves, though 2000 t0 exceeds ZERO_GRID
+        k2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h = np.block([[k2, np.zeros((2, 2))], [np.zeros((2, 2)), 1000 * k2]])
+        zeros = autocorrelation_zeros(h, 0, 10.0)
+        assert zeros == pytest.approx([math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2])
+        with pytest.raises(ValueError, match="too long for the zero grid"):
+            autocorrelation_zeros(h, 2, 10.0)
+
     @pytest.mark.parametrize("k", [-20, -10, 10, 20, 30, 40, 50])
     def test_zeros_scale_with_time(self, k):
         # H -> 2^k H maps the zeros t to t / 2^k; at 2^40 the grid spacing is
@@ -344,24 +354,25 @@ class TestDiameterBounds:
         with pytest.raises(Disconnected):
             laplacian_diameter_bounds(Graph(4, frozenset({(0, 1), (2, 3)})))
 
-    def test_k_counts_the_distinct_exact_roots(self):
+    def test_k_counts_the_distinct_exact_roots(self, small_connected_graphs,
+                                               connected_graphs_7):
         # the exact integer roots are the reference: distinct integer
         # eigenvalues lie at least 1 apart, and decompose merges only gaps
         # below GROUPING_TOL * max(1, spectral radius)
         integral = 0
-        for n in range(1, 8):
-            for g in enumerate_connected_graphs(n):
+        for graphs in [*small_connected_graphs.values(), connected_graphs_7]:
+            for g in graphs:
                 ok, roots = is_integral_spectrum(laplacian_hamiltonian(g))
                 if ok:
                     integral += 1
                     assert laplacian_diameter_bounds(g).k == len(set(roots)), g
         assert integral == 152
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.5, -2.0, math.nan, math.inf])
-    def test_rejects_alpha_not_above_1(self, alpha):
-        # the Mohar bound divides by log(alpha) and takes sqrt(alpha^2 - 1)
-        with pytest.raises(ValueError, match="finite and greater than 1"):
-            laplacian_diameter_bounds(P3, (2.0, alpha))
+    def test_alphas_are_not_a_parameter(self):
+        # the Mohar bound is evaluated at MOHAR_ALPHAS only
+        with pytest.raises(TypeError):
+            laplacian_diameter_bounds(P3, (2.0, 3.0))
+        assert tuple(laplacian_diameter_bounds(P3).mohar) == limits.MOHAR_ALPHAS
 
 
 class TestComplementRule:

@@ -145,6 +145,12 @@ class TestCanonicalForm:
     def test_non_isomorphic_distinct(self):
         assert canonical_form(path_graph(4)) != canonical_form(cycle_graph(4))
 
+    def test_rejects_large_n(self):
+        # the search tries all n! relabelings, from a table of n! C(n, 2)
+        # entries: 9 MiB at n = 8, 1.2 GiB at n = 10
+        with pytest.raises(NTooLarge, match="1 <= n <= 7"):
+            canonical_form(path_graph(8))
+
 
 class TestCensus:
     def test_k2_both_models(self):
@@ -245,15 +251,15 @@ class TestCensus:
             ("adjacency", 5, 6)]
         assert eigh_calls == [1]
 
-    def test_one_eigh_call_per_serial_chunk(self, eigh_calls):
+    def test_one_eigh_call_per_serial_chunk(self, eigh_calls, small_connected_graphs,
+                                            connected_graphs_7):
         chunks = 0
-        for n in (6, 7):
-            graphs = list(enumerate_connected_graphs(n))
+        for graphs in (small_connected_graphs[6], connected_graphs_7):
             census(graphs, workers=1)
             chunks += -(-len(graphs) // _CHUNK)
             assert eigh_calls == [chunks]
 
-    def test_incommensurable_pairs_get_no_verdict(self, monkeypatch):
+    def test_incommensurable_pairs_get_no_verdict(self, monkeypatch, connected_graphs_7):
         # of the 2,415 pairs a < b that pass the weight test at n = 7, the
         # 2,265 whose supported gaps are incommensurable are settled without
         # a phase-stage verdict; the other 150 get one
@@ -265,7 +271,7 @@ class TestCensus:
             return verdict
 
         monkeypatch.setattr(transfer, "_phase_verdict", counted)
-        assert len(census(enumerate_connected_graphs(7), workers=1).records) == 1
+        assert len(census(connected_graphs_7, workers=1).records) == 1
         assert sorted(set(statuses)) == [(NO_TRANSFER, "parity obstruction"), (PERFECT, "")]
         assert statuses.count((PERFECT, "")) == 1 and len(statuses) == 150
 

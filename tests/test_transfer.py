@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from pstlab import (
     evolve,
     fidelity,
     fidelity_curve,
+    hypercube_graph,
     laplacian_hamiltonian,
     model_hamiltonian,
     path_graph,
@@ -490,6 +490,29 @@ class TestValidation:
             with pytest.raises(ValueError, match="nonempty square matrix"):
                 call()
 
+    def test_spectrum_readers_reject_a_list_of_decompositions(self):
+        decs = [decompose(np.eye(2))]
+        for call in (lambda: decide(decs, [(0, 1)]),
+                     lambda: weight_test(decs, [0], [1]),
+                     lambda: fidelity_curve(decs, 0, 1, np.zeros(1)),
+                     lambda: symmetry_operator(decs, 0, 1)):
+            with pytest.raises(ValueError, match=r"nonempty square matrix, got shape \(1,\)"):
+                call()
+
+    @pytest.mark.parametrize("graph", [P3, hypercube_graph(3)], ids=["P3", "Q3"])
+    def test_spectrum_readers_take_a_matrix(self, graph):
+        h = adjacency_hamiltonian(graph)
+        dec = decompose(h)
+        pairs = [(a, b) for a in range(graph.n) for b in range(graph.n) if a != b]
+        assert decide(h, pairs) == decide(dec, pairs)
+        for x, y in zip(weight_test(h, *zip(*pairs)), weight_test(dec, *zip(*pairs))):
+            np.testing.assert_array_equal(x, y)
+        times = np.linspace(0.0, 3.0, 7)
+        np.testing.assert_array_equal(fidelity_curve(h, 0, 1, times),
+                                      fidelity_curve(dec, 0, 1, times))
+        np.testing.assert_array_equal(symmetry_operator(h, 0, graph.n - 1),
+                                      symmetry_operator(dec, 0, graph.n - 1))
+
     # at N = 80 and 200, ||H|| > 64: t0 must come from the gaps, not from a search in time
     @pytest.mark.parametrize("n,seed", [(4, 1), (8, 2), (16, 3), (80, 0), (200, 0), (200, 1),
                                         (200, 2)])
@@ -540,11 +563,12 @@ class TestPhaseStage:
             assert sum(ci * zi for ci, zi in zip(c, z)) == 1
 
 
-@lru_cache(maxsize=None)
-def census_matrices() -> dict:
+@pytest.fixture(scope="module")
+def census_matrices(small_connected_graphs, connected_graphs_7) -> dict:
     """{n: int64 stack of both models of every connected graph on n vertices}, 2 <= n <= 7."""
-    return {n: np.array([model_hamiltonian(g, model) for g in enumerate_connected_graphs(n)
-                         for model in MODELS]) for n in range(2, 8)}
+    graphs = {**small_connected_graphs, 7: connected_graphs_7}
+    return {n: np.array([model_hamiltonian(g, model) for g in graphs[n] for model in MODELS])
+            for n in range(2, 8)}
 
 
 def stack_verdicts(stack, pairs) -> list:
@@ -567,10 +591,10 @@ class TestIntegerGapCap:
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_perfect_on_int64_exactly_when_on_float64(self, data):
+    def test_perfect_on_int64_exactly_when_on_float64(self, census_matrices, data):
         n = data.draw(st.integers(2, 7))
         if data.draw(st.booleans()):  # a census Laplacian
-            h = data.draw(st.sampled_from(list(census_matrices()[n][1::2])))
+            h = data.draw(st.sampled_from(list(census_matrices[n][1::2])))
         else:
             upper = data.draw(st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2,
                                        max_size=n * (n + 1) // 2))
@@ -581,8 +605,8 @@ class TestIntegerGapCap:
         self._assert_same_perfect(decide(decompose(h), pairs),
                                   decide(decompose(h.astype(float)), pairs))
 
-    def test_census_statuses_agree(self):
-        for n, hams in census_matrices().items():
+    def test_census_statuses_agree(self, census_matrices):
+        for n, hams in census_matrices.items():
             pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
             exact = stack_verdicts(_decompose_stack(hams, True, True), pairs)
             floats = stack_verdicts(_decompose_stack(hams.astype(float), True, False), pairs)
